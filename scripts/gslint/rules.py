@@ -64,13 +64,11 @@ DETERMINISM_CRITICAL_DIRS = ("hw", "runtime", "compress", "linalg", "obs")
 RNG_ALLOWED = ("common/rng.hpp", "common/rng.cpp")
 
 #: Files allowed to construct std::thread: the pool itself plus the serving
-#: tier's dispatcher/maintenance threads (which are lifecycle threads that
+#: engine's dispatcher/maintenance threads (which are lifecycle threads that
 #: block on work, not compute threads — compute always runs on the pool).
 THREAD_ALLOWED = (
     "common/thread_pool.hpp",
     "common/thread_pool.cpp",
-    "runtime/server.hpp",
-    "runtime/server.cpp",
     "runtime/shard.hpp",
     "runtime/shard.cpp",
 )

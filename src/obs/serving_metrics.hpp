@@ -1,14 +1,16 @@
-// Pre-registered metric bundles for the serving engines.
+// Pre-registered metric bundles for the serving engine.
 //
 // Every serving metric NAME in the repo is registered in exactly one place —
 // serving_metrics.cpp — so the gslint `metric-name` rule can enforce the
 // naming pattern and single-registration statically, and the catalogue in
-// docs/OBSERVABILITY.md stays the single source of truth. BatchingServer and
-// ShardedServer construct one ServingMetrics per engine instance (label
-// engine="batching"/"sharded"); ShardedServer adds one ReplicaMetrics per
-// replica. Engine instances sharing a registry share children: counters
-// aggregate across instances, gauges are last-writer (tests wanting
-// isolation pass a private Registry via ObservabilityConfig).
+// docs/OBSERVABILITY.md stays the single source of truth. Each
+// runtime::ShardedServer constructs one ServingMetrics, labelled by the
+// constructor that built it: engine="sharded" for a fleet compiled from a
+// network (which adds one ReplicaMetrics per replica), engine="batching"
+// for the borrowed one-replica engine behind BatchingServer (no
+// ReplicaMetrics). Engine instances sharing a registry share children:
+// counters aggregate across instances, gauges are last-writer (tests
+// wanting isolation pass a private Registry via ObservabilityConfig).
 //
 // Thread-safety: construction registers against the registry mutex; the
 // bundled references are lock-free afterwards (the Counter/Gauge/Histogram

@@ -126,8 +126,8 @@ class Tracer {
 /// inline) — the quickstart's human view of a request's life.
 std::string render(const Trace& trace);
 
-/// Observability knobs shared by the serving engines (BatchingConfig and,
-/// through it, ShardConfig). Defaults keep metrics on (cheap: a handful of
+/// Observability knobs of the serving engine (BatchingConfig and, through
+/// it, ShardConfig). Defaults keep metrics on (cheap: a handful of
 /// lock-free counter bumps per batch) and tracing off.
 struct ObservabilityConfig {
   /// Export serving/executor counters, gauges, and histograms.

@@ -86,10 +86,12 @@ class Executor {
   /// determinism tests.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
+  /// The pool forward() runs on: the injected one, else ThreadPool::global().
+  ThreadPool& pool() const;
+
   const CrossbarProgram& program() const { return *program_; }
 
  private:
-  ThreadPool& pool() const;
   /// One crossbar stage: out (R × plan cols) = act (R × plan rows) through
   /// the programmed tiles with DAC/ADC at the stage boundary.
   void apply_plan(const MatrixPlan& plan, const Tensor& act,

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "common/check.hpp"
+#include "runtime/shard.hpp"
 
 namespace gs::runtime {
 
@@ -22,14 +21,6 @@ bool percentile_saturated(std::size_t n, double q) {
   // ⌈q·n⌉ == n exactly when n·(1−q) < 1: the nearest-rank index is the last
   // element, so the "percentile" is just the sample maximum.
   return static_cast<double>(n) * (1.0 - q) < 1.0;
-}
-
-bool request_outranks(std::chrono::steady_clock::time_point deadline_a,
-                      int priority_a,
-                      std::chrono::steady_clock::time_point deadline_b,
-                      int priority_b) {
-  if (deadline_a != deadline_b) return deadline_a < deadline_b;
-  return priority_a > priority_b;
 }
 
 void ewma_record(std::atomic<double>& accumulator, double sample,
@@ -54,423 +45,33 @@ void BatchingConfig::validate() const {
   admission.validate();
 }
 
-namespace {
-
-std::exception_ptr rejection(const std::string& message) {
-  return std::make_exception_ptr(std::runtime_error(message));
-}
-
-}  // namespace
-
 BatchingServer::BatchingServer(const Executor& executor, BatchingConfig config)
-    : executor_(&executor), config_(config) {
-  config_.validate();
-  // The program is immutable for this server's lifetime, so the per-sample
-  // energy-proxy profile is priced once here — record_forward() then only
-  // multiplies by batch size (no per-tile work on the hot path).
-  profile_ = executor.profile();
-  obs::Registry& registry = config_.observability.registry != nullptr
-                                ? *config_.observability.registry
-                                : obs::Registry::global();
-  if (config_.observability.metrics) {
-    metrics_ = std::make_unique<obs::ServingMetrics>(registry, "batching");
-  }
-  if (config_.observability.tracer != nullptr) {
-    tracer_ = config_.observability.tracer;
-  } else if (config_.observability.trace_sample_every > 0) {
-    owned_tracer_ = std::make_unique<obs::Tracer>(
-        config_.observability.trace_sample_every,
-        config_.observability.trace_keep,
-        config_.observability.metrics ? &registry : nullptr);
-    tracer_ = owned_tracer_.get();
-  }
-  MutexLock join_lock(join_mutex_);
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
-}
+    : engine_(std::make_unique<ShardedServer>(executor, std::move(config))) {}
 
-BatchingServer::~BatchingServer() { shutdown(); }
+BatchingServer::~BatchingServer() = default;
 
 std::future<Tensor> BatchingServer::submit(Tensor sample) {
-  return submit(std::move(sample), config_.admission.default_deadline);
+  return engine_->submit(std::move(sample));
 }
 
 std::future<Tensor> BatchingServer::submit(
     Tensor sample, std::chrono::microseconds deadline) {
-  RequestOptions options;
-  options.deadline = deadline;
-  return submit(std::move(sample), options);
+  return engine_->submit(std::move(sample), deadline);
 }
 
 std::future<Tensor> BatchingServer::submit(Tensor sample,
                                            const RequestOptions& options) {
-  const std::chrono::microseconds deadline =
-      options.deadline.count() > 0 ? options.deadline
-                                   : config_.admission.default_deadline;
-  const Shape& expected = executor_->program().input_shape();
-  GS_CHECK_MSG(sample.shape() == expected,
-               "server sample " << shape_to_string(sample.shape())
-                                << " does not match program input "
-                                << shape_to_string(expected));
-  Request request;
-  request.sample = std::move(sample);
-  request.enqueued = std::chrono::steady_clock::now();
-  request.deadline = deadline.count() > 0 ? request.enqueued + deadline
-                                          : kNoDeadline;
-  request.tenant = options.tenant;
-  request.priority = options.priority;
-  request.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  if (tracer_ != nullptr) request.trace = tracer_->start(request.id);
-  std::uint64_t submit_span = 0;
-  if (request.trace) {
-    submit_span = request.trace->begin_span("submit", obs::Trace::kRoot);
-  }
-  std::future<Tensor> future = request.promise.get_future();
-
-  std::string reject_reason;
-  bool admission_miss = false;
-  Request displaced;          // later-deadline victim shed in our favour
-  bool have_displaced = false;
-  std::size_t depth_after = 0;
-  {
-    MutexLock lock(mutex_);
-    if (stopping_) {
-      reject_reason = "BatchingServer: rejected — server is shut down";
-    } else if (config_.admission.enabled && request.deadline != kNoDeadline) {
-      // Predicted queueing delay: batches ahead of us × per-batch cost.
-      const double cost_us =
-          config_.admission.assumed_batch_cost.count() > 0
-              ? static_cast<double>(
-                    config_.admission.assumed_batch_cost.count())
-              : ewma_batch_cost_us_.load(std::memory_order_relaxed);
-      const double batches_ahead = std::ceil(
-          static_cast<double>(queue_.size() + 1) /
-          static_cast<double>(config_.max_batch));
-      const auto predicted_wait = std::chrono::microseconds(
-          static_cast<long long>(batches_ahead * cost_us));
-      if (request.enqueued + predicted_wait > request.deadline) {
-        reject_reason =
-            "BatchingServer: rejected — admission control predicts a "
-            "deadline miss";
-        admission_miss = true;
-      }
-    }
-    if (reject_reason.empty() && queue_.size() >= config_.max_queue_depth) {
-      // Deadline-then-priority displacement: the queue is ranked, so its
-      // BACK is the worst-ranked entry (latest deadline, then lowest
-      // priority). Shed it if ours strictly outranks it; otherwise reject
-      // ours.
-      if (!queue_.empty() &&
-          request_outranks(request.deadline, request.priority,
-                           queue_.back().deadline, queue_.back().priority)) {
-        displaced = std::move(queue_.back());
-        queue_.pop_back();
-        have_displaced = true;
-      } else {
-        std::ostringstream msg;
-        msg << "BatchingServer: rejected — queue full (max_queue_depth="
-            << config_.max_queue_depth << ")";
-        reject_reason = msg.str();
-      }
-    }
-    if (reject_reason.empty()) {
-      if (request.trace) {
-        request.trace->end_span(submit_span);
-        request.queue_span =
-            request.trace->begin_span("queue", obs::Trace::kRoot);
-      }
-      insert_ranked(queue_, std::move(request));
-      depth_after = queue_.size();
-    }
-  }
-  if (have_displaced) {
-    {
-      MutexLock lock(stats_mutex_);
-      ++shed_;
-    }
-    if (metrics_) {
-      metrics_->shed.inc();
-      metrics_->inflight.add(-1.0);
-    }
-    finish_dropped(displaced, "displaced");
-    displaced.promise.set_exception(rejection(
-        "BatchingServer: shed — displaced by an earlier-deadline request "
-        "under overload"));
-  }
-  if (!reject_reason.empty()) {
-    {
-      MutexLock lock(stats_mutex_);
-      ++rejected_;
-      if (admission_miss) ++admission_rejected_;
-    }
-    if (metrics_) {
-      metrics_->rejected.inc();
-      if (admission_miss) metrics_->admission_rejected.inc();
-    }
-    if (request.trace) request.trace->end_span(submit_span);
-    finish_dropped(request,
-                   admission_miss ? "admission_rejected" : "rejected");
-    request.promise.set_exception(rejection(reject_reason));
-    return future;
-  }
-  if (metrics_) {
-    metrics_->inflight.add(1.0);
-    metrics_->queue_depth.set(static_cast<double>(depth_after));
-  }
-  queue_cv_.notify_one();
-  return future;
-}
-
-void BatchingServer::finish_dropped(Request& request,
-                                    const char* result) const {
-  if (!request.trace) return;
-  if (request.queue_span != 0) {
-    request.trace->end_span(request.queue_span);
-    request.queue_span = 0;
-  }
-  request.trace->annotate(obs::Trace::kRoot, "result", result);
-  if (tracer_ != nullptr) tracer_->finish(request.trace);
-  request.trace.reset();
+  return engine_->submit(std::move(sample), options);
 }
 
 Tensor BatchingServer::infer(const Tensor& sample) {
-  return submit(sample).get();
+  return engine_->infer(sample);
 }
 
-void BatchingServer::shutdown() {
-  {
-    MutexLock lock(mutex_);
-    stopping_ = true;
-  }
-  queue_cv_.notify_all();
-  // join_mutex_ serializes the joinable check with join() itself: without
-  // it, shutdown() racing the destructor could join the thread twice.
-  MutexLock join_lock(join_mutex_);
-  if (dispatcher_.joinable()) dispatcher_.join();
-}
+void BatchingServer::shutdown() { engine_->shutdown(); }
 
-ServerStats BatchingServer::stats() const {
-  std::vector<double> latencies;
-  ServerStats stats;
-  {
-    MutexLock lock(stats_mutex_);
-    stats.completed = completed_;
-    stats.rejected = rejected_;
-    stats.admission_rejected = admission_rejected_;
-    stats.shed = shed_;
-    stats.failed = failed_;
-    stats.batches = batches_;
-    stats.max_batch_seen = max_batch_seen_;
-    stats.deadline_hits = deadline_hits_;
-    stats.deadline_misses = deadline_misses_;
-    stats.latency_samples_total = latencies_.total();
-    latencies = latencies_.samples();
-  }
-  stats.mean_batch =
-      stats.batches == 0
-          ? 0.0
-          : static_cast<double>(stats.completed) / stats.batches;
-  if (!latencies.empty()) {
-    std::sort(latencies.begin(), latencies.end());
-    stats.latency_p50_ms = latency_percentile(latencies, 0.50);
-    stats.latency_p95_ms = latency_percentile(latencies, 0.95);
-    stats.latency_p99_ms = latency_percentile(latencies, 0.99);
-    stats.latency_p999_ms = latency_percentile(latencies, 0.999);
-    stats.latency_max_ms = latencies.back();
-    stats.latency_p99_saturated = percentile_saturated(latencies.size(), 0.99);
-    stats.latency_p999_saturated =
-        percentile_saturated(latencies.size(), 0.999);
-  }
-  return stats;
-}
+ServerStats BatchingServer::stats() const { return engine_->stats().aggregate; }
 
-void BatchingServer::dispatch_loop() {
-  for (;;) {
-    std::vector<Request> batch;
-    std::vector<Request> expired;
-    std::size_t depth_after = 0;
-    {
-      MutexLock lock(mutex_);
-      while (!stopping_ && queue_.empty()) queue_cv_.wait(mutex_);
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      // Coalesce: launch when the batch is full or the oldest request's
-      // deadline passes. Shutdown drains immediately. (With ranked
-      // insertion the front is the most URGENT request, so the launch
-      // horizon scans for the oldest enqueue time.)
-      const auto launch = oldest_enqueued(queue_) + config_.max_delay;
-      while (!stopping_ && queue_.size() < config_.max_batch) {
-        if (queue_cv_.wait_until(mutex_, launch) == std::cv_status::timeout) {
-          break;
-        }
-      }
-      // Shed already-expired requests at batch formation: a result past its
-      // deadline is worthless, the batch slot is not.
-      const auto now = std::chrono::steady_clock::now();
-      batch.reserve(std::min(config_.max_batch, queue_.size()));
-      while (!queue_.empty() && batch.size() < config_.max_batch) {
-        Request request = std::move(queue_.front());
-        queue_.pop_front();
-        if (request.deadline < now) {
-          expired.push_back(std::move(request));
-        } else {
-          batch.push_back(std::move(request));
-        }
-      }
-      depth_after = queue_.size();
-    }
-    if (metrics_) {
-      metrics_->queue_depth.set(static_cast<double>(depth_after));
-    }
-    if (!expired.empty()) {
-      {
-        MutexLock lock(stats_mutex_);
-        shed_ += expired.size();
-      }
-      if (metrics_) {
-        metrics_->shed.inc(expired.size());
-        metrics_->inflight.add(-static_cast<double>(expired.size()));
-      }
-      for (Request& request : expired) {
-        finish_dropped(request, "expired");
-        request.promise.set_exception(rejection(
-            "BatchingServer: shed — deadline expired before execution"));
-      }
-    }
-    if (!batch.empty()) run_batch(batch);
-  }
-}
-
-void BatchingServer::run_batch(std::vector<Request>& requests) {
-  const std::size_t count = requests.size();
-  const Shape& sample_shape = executor_->program().input_shape();
-  const std::size_t sample_numel = shape_numel(sample_shape);
-
-  Shape batch_shape;
-  batch_shape.reserve(sample_shape.size() + 1);
-  batch_shape.push_back(count);
-  batch_shape.insert(batch_shape.end(), sample_shape.begin(),
-                     sample_shape.end());
-  Tensor batch(batch_shape);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::copy(requests[i].sample.data(),
-              requests[i].sample.data() + sample_numel,
-              batch.data() + i * sample_numel);
-  }
-
-  // Close queue spans, open batch/execute spans on every sampled request.
-  // Execution-detail spans (per step/stage) go to the FIRST sampled trace
-  // only — the batch runs once, so the detail belongs to one tree.
-  std::vector<std::uint64_t> batch_spans(count, 0);
-  std::vector<std::uint64_t> execute_spans(count, 0);
-  ForwardTrace forward_trace;
-  for (std::size_t i = 0; i < count; ++i) {
-    Request& request = requests[i];
-    if (!request.trace) continue;
-    if (request.queue_span != 0) {
-      request.trace->end_span(request.queue_span);
-      request.queue_span = 0;
-    }
-    batch_spans[i] = request.trace->begin_span("batch", obs::Trace::kRoot);
-    request.trace->annotate(batch_spans[i], "batch_size",
-                            std::to_string(count));
-    execute_spans[i] =
-        request.trace->begin_span("execute", batch_spans[i]);
-    if (forward_trace.trace == nullptr) {
-      forward_trace.trace = request.trace.get();
-      forward_trace.parent = execute_spans[i];
-    }
-  }
-
-  try {
-    const auto started = std::chrono::steady_clock::now();
-    const Tensor logits = executor_->forward(batch, forward_trace);
-    const std::size_t classes = logits.numel() / count;
-    const auto finished = std::chrono::steady_clock::now();
-    const double batch_us =
-        std::chrono::duration<double, std::micro>(finished - started).count();
-    // EWMA of batch cost feeds the admission predictor (α = 1/8; the first
-    // sample seeds it directly). CAS loop: concurrent completions must not
-    // lose each other's samples.
-    ewma_record(ewma_batch_cost_us_, batch_us);
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    for (const Request& request : requests) {
-      if (request.deadline == kNoDeadline) continue;
-      (finished <= request.deadline ? hits : misses) += 1;
-    }
-    // Stats are recorded BEFORE the promises resolve, so a caller returning
-    // from infer()/get() always observes its own request in stats().
-    {
-      MutexLock lock(stats_mutex_);
-      completed_ += count;
-      ++batches_;
-      max_batch_seen_ = std::max(max_batch_seen_, count);
-      deadline_hits_ += hits;
-      deadline_misses_ += misses;
-      for (const Request& request : requests) {
-        latencies_.record(std::chrono::duration<double, std::milli>(
-                              finished - request.enqueued)
-                              .count());
-      }
-    }
-    if (metrics_) {
-      metrics_->completed.inc(count);
-      metrics_->batches.inc();
-      metrics_->batch_size.observe(static_cast<double>(count));
-      metrics_->inflight.add(-static_cast<double>(count));
-      if (hits > 0) metrics_->deadline_hits.inc(hits);
-      if (misses > 0) metrics_->deadline_misses.inc(misses);
-      metrics_->record_forward(profile_, count);
-      for (const Request& request : requests) {
-        metrics_->latency_ms.observe(
-            std::chrono::duration<double, std::milli>(finished -
-                                                      request.enqueued)
-                .count());
-      }
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      Request& request = requests[i];
-      std::uint64_t reply_span = 0;
-      if (request.trace) {
-        request.trace->end_span(execute_spans[i]);
-        request.trace->end_span(batch_spans[i]);
-        reply_span = request.trace->begin_span("reply", obs::Trace::kRoot);
-      }
-      Tensor row(Shape{classes});
-      std::copy(logits.data() + i * classes, logits.data() + (i + 1) * classes,
-                row.data());
-      request.promise.set_value(std::move(row));
-      if (request.trace) {
-        request.trace->end_span(reply_span);
-        request.trace->annotate(obs::Trace::kRoot, "result", "ok");
-        if (tracer_ != nullptr) tracer_->finish(request.trace);
-        request.trace.reset();
-      }
-    }
-  } catch (...) {
-    const std::exception_ptr error = std::current_exception();
-    {
-      MutexLock lock(stats_mutex_);
-      failed_ += count;
-    }
-    if (metrics_) {
-      metrics_->failed.inc(count);
-      metrics_->inflight.add(-static_cast<double>(count));
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      Request& request = requests[i];
-      if (request.trace) {
-        request.trace->end_span(execute_spans[i]);
-        request.trace->end_span(batch_spans[i]);
-        request.trace->annotate(obs::Trace::kRoot, "result", "failed");
-        if (tracer_ != nullptr) tracer_->finish(request.trace);
-        request.trace.reset();
-      }
-      request.promise.set_exception(error);
-    }
-  }
-}
+const obs::Tracer* BatchingServer::tracer() const { return engine_->tracer(); }
 
 }  // namespace gs::runtime

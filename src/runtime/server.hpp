@@ -1,25 +1,27 @@
-// Batched serving engine over a crossbar Executor.
+// Batched serving of one crossbar Executor — and the serving contract every
+// engine replica keeps.
 //
-// Concurrent callers submit single samples; a dedicated dispatch thread
-// coalesces the queue into batches — a batch launches as soon as
-// `max_batch` requests are waiting or the oldest request has waited
+// BatchingServer is a thin facade over the repo's one serving engine,
+// runtime::ShardedServer (runtime/shard.hpp), run as ONE replica over the
+// borrowed Executor: no compile, no canary, no maintenance thread. The
+// engine's dispatcher coalesces the queue into batches — a batch launches as
+// soon as `max_batch` requests are waiting or the oldest request has waited
 // `max_delay` (the latency deadline), whichever comes first — runs one
 // batched Executor::forward, and completes every request's future with its
 // logits row. Because the executor's DAC scales are per input vector,
 // coalescing never changes a request's result: a sample returns bitwise the
 // same logits at any batch composition.
 //
-// Overload behaviour (the robustness layer):
+// Overload behaviour (the robustness layer, per replica queue):
 //  * the queue is kept in deadline-then-priority order (earlier deadline
 //    first; equal deadlines, higher priority first; ties FIFO), so batch
 //    formation serves the most urgent work first. Requests without
 //    deadlines queue behind dated ones in priority order.
 //  * the queue is bounded (`max_queue_depth`); a full queue rejects new
 //    work at submit — EXCEPT when the new request outranks the worst-ranked
-//    queued request (request_outranks: latest deadline, then lowest
-//    priority), in which case the laggard is displaced (shed) in its
-//    favour. Overload therefore sheds the work most likely to miss anyway,
-//    not the most recent arrival.
+//    queued request (latest deadline, then lowest priority), in which case
+//    the laggard is displaced (shed) in its favour. Overload therefore sheds
+//    the work most likely to miss anyway, not the most recent arrival.
 //  * requests may carry a deadline; with admission control enabled the
 //    server predicts the queueing delay from the current depth and rejects
 //    at submit any request it expects to miss — failing fast beats
@@ -30,7 +32,7 @@
 // Every rejected or shed future carries a std::runtime_error whose message
 // names the reason; no future is ever left dangling (see ServerStats).
 //
-// The server records per-request latency (submit → completion) and batch
+// The engine records per-request latency (submit → completion) and batch
 // sizes; stats() folds them into throughput-style aggregates and latency
 // percentiles for the serving bench (bench/runtime_serving.cpp).
 #pragma once
@@ -39,24 +41,19 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <future>
-#include <iterator>
 #include <memory>
-#include <thread>
 #include <vector>
 
-#include "common/annotations.hpp"
-#include "common/sync.hpp"
-#include "obs/serving_metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/executor.hpp"
 
 namespace gs::runtime {
 
-/// Deadline-based admission control knobs, shared by BatchingServer and
-/// ShardedServer. Admission predicts the queueing delay of a new request
-/// from the target queue's depth,
+class ShardedServer;
+
+/// Deadline-based admission control knobs. Admission predicts the queueing
+/// delay of a new request from the target queue's depth,
 ///     predicted_wait = ceil((depth + 1) / max_batch) · batch_cost,
 /// and rejects at submit when now + predicted_wait exceeds the request's
 /// deadline. `batch_cost` is `assumed_batch_cost` when set (fixed cost —
@@ -91,65 +88,31 @@ struct BatchingConfig {
   void validate() const;
 };
 
-/// Per-request serving options, shared by BatchingServer and ShardedServer.
-/// Queue order and displacement shedding are deadline-then-priority ordered
-/// (see request_outranks); the defaults make a request behave exactly like a
-/// plain submit(sample) call.
+/// Per-request serving options. Queue order and displacement shedding are
+/// deadline-then-priority ordered; the defaults make a request behave
+/// exactly like a plain submit(sample) call.
 struct RequestOptions {
   /// Time allowed from submit to completion; 0 = none (the engine falls back
   /// to AdmissionConfig::default_deadline).
   std::chrono::microseconds deadline{0};
-  /// Tenant owning the request. ShardedServer enforces the per-tenant
-  /// inflight cap (ShardConfig::max_inflight_per_tenant) against it;
-  /// BatchingServer records it but applies no cap (single-engine serving has
-  /// no fairness surface).
+  /// Tenant owning the request. The engine enforces the per-tenant inflight
+  /// cap (ShardConfig::max_inflight_per_tenant) against it; BatchingServer
+  /// records it but applies no cap (its one-replica engine runs uncapped).
   std::uint64_t tenant = 0;
   /// Higher wins among equal deadlines — both for queue position and for
   /// choosing displacement victims under overload.
   int priority = 0;
 };
 
-/// Strict deadline-then-priority order: a outranks b when a's deadline is
-/// earlier, or deadlines are equal and a's priority is higher. Requests
-/// without deadlines (time_point::max()) rank behind every dated request and
-/// among themselves by priority only. NOT a total order over requests —
-/// equal (deadline, priority) pairs tie, and ties keep FIFO order.
-bool request_outranks(std::chrono::steady_clock::time_point deadline_a,
-                      int priority_a,
-                      std::chrono::steady_clock::time_point deadline_b,
-                      int priority_b);
+/// Latency samples each replica retains for its percentile window.
+inline constexpr std::size_t kLatencyWindow = 16384;
 
-/// Deadline-then-priority ordered insertion into a request deque (FIFO among
-/// equal ranks): walks back from the tail past every queued request the new
-/// one outranks. With default options on every request this degenerates to
-/// push_back — plain FIFO. Requires Request members `deadline`/`priority`.
-template <typename RequestType>
-void insert_ranked(std::deque<RequestType>& queue, RequestType&& request) {
-  auto it = queue.end();
-  while (it != queue.begin() &&
-         request_outranks(request.deadline, request.priority,
-                          std::prev(it)->deadline, std::prev(it)->priority)) {
-    --it;
-  }
-  queue.insert(it, std::move(request));
-}
-
-/// Earliest enqueue time in `queue` (the coalescing-launch horizon). With
-/// ranked insertion the FRONT is the most urgent request, not necessarily
-/// the oldest — the max_delay guarantee is owed to the oldest.
-template <typename RequestType>
-std::chrono::steady_clock::time_point oldest_enqueued(
-    const std::deque<RequestType>& queue) {
-  auto oldest = std::chrono::steady_clock::time_point::max();
-  for (const RequestType& request : queue) {
-    if (request.enqueued < oldest) oldest = request.enqueued;
-  }
-  return oldest;
-}
+/// Absolute time representing "no deadline" (never expires).
+inline constexpr std::chrono::steady_clock::time_point kNoDeadline =
+    std::chrono::steady_clock::time_point::max();
 
 /// Nearest-rank percentile — the ⌈q·n⌉-th smallest element of `sorted`
-/// (ascending); 0 when empty. Shared by the BatchingServer and ShardedServer
-/// stats folds.
+/// (ascending); 0 when empty.
 double latency_percentile(const std::vector<double>& sorted, double q);
 
 /// True when the nearest-rank percentile q over n samples degenerates to the
@@ -166,9 +129,8 @@ bool percentile_saturated(std::size_t n, double q);
 void ewma_record(std::atomic<double>& accumulator, double sample,
                  double alpha = 0.125);
 
-/// Bounded ring of the most recent latency samples — shared by the serving
-/// engines so both report identically-windowed percentiles. Not thread-safe;
-/// callers guard it with their stats mutex.
+/// Bounded ring of the most recent latency samples (kLatencyWindow per
+/// replica). Not thread-safe; the engine guards it with its stats mutex.
 class LatencyWindow {
  public:
   explicit LatencyWindow(std::size_t capacity) : capacity_(capacity) {}
@@ -199,7 +161,7 @@ class LatencyWindow {
 };
 
 /// Serving counters; latency aggregates cover the most recent window of
-/// completed requests (BatchingServer::kLatencyWindow samples), so a
+/// completed requests (kLatencyWindow samples per replica), so a
 /// long-running server keeps bounded memory and stats() cost.
 /// Every submitted request lands in exactly one of completed / rejected /
 /// shed / failed — futures never dangle.
@@ -246,16 +208,18 @@ struct ServerStats {
 /// threads; shutdown() is idempotent and also runs in the destructor.
 /// submit() AFTER shutdown() returns an immediately-rejected future (not
 /// UB) — though calling any method on a destroyed server remains UB, as for
-/// every C++ object.
+/// every C++ object. All of it is the engine's contract; the facade holds no
+/// state of its own.
 /// Determinism: results inherit the Executor contract — a sample's logits
 /// are bitwise independent of batch composition, pool size, and coalescing
 /// timing; only the latency statistics are timing-dependent. Observability
-/// (metrics, deterministic request-id-keyed trace sampling, execution
-/// profiling) only observes: logits are bitwise identical with it on or off.
+/// (metrics under engine="batching", deterministic request-id-keyed trace
+/// sampling, execution profiling) only observes: logits are bitwise
+/// identical with it on or off.
 class BatchingServer {
  public:
-  /// Starts the dispatch thread. `executor` is borrowed and must outlive the
-  /// server.
+  /// Starts the one-replica engine's dispatch thread. `executor` is borrowed
+  /// and must outlive the server.
   explicit BatchingServer(const Executor& executor, BatchingConfig config = {});
   ~BatchingServer();
 
@@ -275,7 +239,7 @@ class BatchingServer {
 
   /// Full per-request surface: deadline, tenant id, priority. The queue and
   /// displacement shedding order by (deadline, then priority); `tenant` is
-  /// recorded on the request but BatchingServer applies no per-tenant cap.
+  /// recorded on the request but no per-tenant cap applies.
   std::future<Tensor> submit(Tensor sample, const RequestOptions& options);
 
   /// Blocking convenience: submit + get.
@@ -286,72 +250,15 @@ class BatchingServer {
   /// (drain, not abort); expired ones are shed as usual.
   void shutdown();
 
+  /// The engine's aggregate counters (ShardStats::aggregate).
   ServerStats stats() const;
 
   /// The tracer sampling this server's requests (nullptr when tracing is
   /// off) — completed span trees are read through it.
-  const obs::Tracer* tracer() const { return tracer_; }
-
-  /// Latency samples retained for the percentile window.
-  static constexpr std::size_t kLatencyWindow = 16384;
-
-  /// Absolute time representing "no deadline" (never expires).
-  static constexpr std::chrono::steady_clock::time_point kNoDeadline =
-      std::chrono::steady_clock::time_point::max();
+  const obs::Tracer* tracer() const;
 
  private:
-  struct Request {
-    Tensor sample;
-    std::promise<Tensor> promise;
-    std::chrono::steady_clock::time_point enqueued;
-    std::chrono::steady_clock::time_point deadline = kNoDeadline;
-    std::uint64_t tenant = 0;
-    int priority = 0;
-    std::uint64_t id = 0;  ///< submit-order id (trace sampling key)
-    std::shared_ptr<obs::Trace> trace;  ///< non-null when sampled
-    std::uint64_t queue_span = 0;       ///< open "queue" span id
-  };
-
-  void dispatch_loop();
-  void run_batch(std::vector<Request>& requests) GS_EXCLUDES(mutex_);
-  /// Rejects + finishes the traces of requests dropped before execution.
-  void finish_dropped(Request& request, const char* result) const;
-
-  const Executor* executor_;
-  BatchingConfig config_;
-  /// Per-sample energy-proxy profile of the (immutable) program, priced once
-  /// at construction (obs/exec_profile.hpp).
-  obs::ExecProfile profile_;
-  /// Registry-backed serving metrics (null when observability.metrics off).
-  std::unique_ptr<obs::ServingMetrics> metrics_;
-  std::unique_ptr<obs::Tracer> owned_tracer_;
-  obs::Tracer* tracer_ = nullptr;  ///< external or owned; null = no tracing
-  std::atomic<std::uint64_t> next_request_id_{1};
-
-  mutable Mutex mutex_;
-  CondVar queue_cv_;
-  std::deque<Request> queue_ GS_GUARDED_BY(mutex_);
-  bool stopping_ GS_GUARDED_BY(mutex_) = false;
-
-  mutable Mutex stats_mutex_;
-  std::size_t completed_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t rejected_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t admission_rejected_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t shed_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t failed_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t batches_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t max_batch_seen_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t deadline_hits_ GS_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t deadline_misses_ GS_GUARDED_BY(stats_mutex_) = 0;
-  LatencyWindow latencies_ GS_GUARDED_BY(stats_mutex_){kLatencyWindow};
-  /// Measured per-batch execution cost for admission prediction when
-  /// assumed_batch_cost is 0 (atomic: read by submit, written by the
-  /// dispatcher, no lock ordering entanglement).
-  std::atomic<double> ewma_batch_cost_us_{0.0};
-
-  Mutex join_mutex_;  ///< serializes shutdown()'s joinable-check + join
-  /// Started last in the constructor, joined by shutdown().
-  std::thread dispatcher_ GS_GUARDED_BY(join_mutex_);
+  std::unique_ptr<ShardedServer> engine_;
 };
 
 }  // namespace gs::runtime

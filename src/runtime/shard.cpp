@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -27,6 +28,47 @@ std::uint64_t fnv1a_fold(std::uint64_t hash, std::uint64_t value) {
     hash *= 1099511628211ULL;
   }
   return hash;
+}
+
+/// Strict deadline-then-priority order: a outranks b when a's deadline is
+/// earlier, or deadlines are equal and a's priority is higher. Requests
+/// without deadlines (kNoDeadline) rank behind every dated request and
+/// among themselves by priority only. NOT a total order over requests —
+/// equal (deadline, priority) pairs tie, and ties keep FIFO order.
+bool request_outranks(std::chrono::steady_clock::time_point deadline_a,
+                      int priority_a,
+                      std::chrono::steady_clock::time_point deadline_b,
+                      int priority_b) {
+  if (deadline_a != deadline_b) return deadline_a < deadline_b;
+  return priority_a > priority_b;
+}
+
+/// Deadline-then-priority ordered insertion into a request queue (FIFO
+/// among equal ranks): walks back from the tail past every queued request
+/// the new one outranks. With default options on every request this
+/// degenerates to push_back — plain FIFO.
+template <typename RequestType>
+void insert_ranked(std::deque<RequestType>& queue, RequestType&& request) {
+  auto it = queue.end();
+  while (it != queue.begin() &&
+         request_outranks(request.deadline, request.priority,
+                          std::prev(it)->deadline, std::prev(it)->priority)) {
+    --it;
+  }
+  queue.insert(it, std::move(request));
+}
+
+/// Earliest enqueue time in `queue` (the coalescing-launch horizon). With
+/// ranked insertion the FRONT is the most urgent request, not necessarily
+/// the oldest — the max_delay guarantee is owed to the oldest.
+template <typename RequestType>
+std::chrono::steady_clock::time_point oldest_enqueued(
+    const std::deque<RequestType>& queue) {
+  auto oldest = std::chrono::steady_clock::time_point::max();
+  for (const RequestType& request : queue) {
+    if (request.enqueued < oldest) oldest = request.enqueued;
+  }
+  return oldest;
 }
 }  // namespace
 
@@ -87,35 +129,52 @@ ShardedServer::ShardedServer(const nn::Network& net, const Shape& sample_shape,
                                  ? config_.total_threads
                                  : ThreadPool::global().size();
   thread_split_ = split_thread_budget(budget, capacity_);
+  init_serving(/*borrowed=*/false);
+  // Initially-active replicas compile eagerly; headroom slots (autoscale
+  // capacity beyond the initial fleet) compile lazily on first activation.
+  for (std::size_t r = 0; r < config_.replicas; ++r) build_replica(r);
+  start_threads();
+}
 
+ShardedServer::ShardedServer(const Executor& executor, BatchingConfig config)
+    : sample_shape_(executor.program().input_shape()),
+      capacity_(1),
+      thread_split_{executor.pool().size()} {
+  config_.replicas = 1;
+  config_.batching = std::move(config);
+  config_.validate();
+  init_serving(/*borrowed=*/true);
+  auto replica = std::make_unique<Replica>();
+  replica->executor = &executor;
+  {
+    MutexLock lock(mutex_);
+    replicas_[0] = std::move(replica);
+  }
+  start_threads();
+}
+
+void ShardedServer::init_serving(bool borrowed) {
   const obs::ObservabilityConfig& obs_config = config_.batching.observability;
   obs::Registry& registry = obs_config.registry != nullptr
                                 ? *obs_config.registry
                                 : obs::Registry::global();
   if (obs_config.metrics) {
-    metrics_ = std::make_unique<obs::ServingMetrics>(registry, "sharded");
+    metrics_ = std::make_unique<obs::ServingMetrics>(
+        registry, borrowed ? "batching" : "sharded");
     if (config_.autoscale.enabled) {
       fleet_metrics_ = std::make_unique<obs::FleetMetrics>(registry);
       fleet_metrics_->active_replicas.set(
           static_cast<double>(config_.replicas));
     }
-    replica_metrics_.reserve(capacity_);
-    for (std::size_t r = 0; r < capacity_; ++r) {
-      replica_metrics_.push_back(
-          std::make_unique<obs::ReplicaMetrics>(registry, r));
-      replica_metrics_.back()->health_state.set(
-          static_cast<double>(static_cast<int>(ReplicaHealth::kHealthy)));
+    if (!borrowed) {
+      replica_metrics_.reserve(capacity_);
+      for (std::size_t r = 0; r < capacity_; ++r) {
+        replica_metrics_.push_back(
+            std::make_unique<obs::ReplicaMetrics>(registry, r));
+        replica_metrics_.back()->health_state.set(
+            static_cast<double>(static_cast<int>(ReplicaHealth::kHealthy)));
+      }
     }
-  }
-  if (metrics_ && config_.autoscale.enabled) {
-    // Registry children are cumulative across engine instances sharing a
-    // registry: baseline the controller's delta snapshots against the
-    // counters' CURRENT values, so the first tick measures THIS server's
-    // traffic, not the registry's history. (Benches/tests wanting full
-    // isolation pass a private Registry.)
-    MutexLock lock(autoscale_mutex_);
-    last_hits_ = metrics_->deadline_hits.value();
-    last_misses_ = metrics_->deadline_misses.value();
   }
   if (obs_config.tracer != nullptr) {
     tracer_ = obs_config.tracer;
@@ -128,7 +187,7 @@ ShardedServer::ShardedServer(const nn::Network& net, const Shape& sample_shape,
 
   {
     MutexLock lock(mutex_);
-    replicas_.resize(capacity_);  // null slots; built below / on activation
+    replicas_.resize(capacity_);  // null until built or activated
     queues_.resize(capacity_);
     health_.assign(capacity_, ReplicaHealth::kHealthy);
     trackers_.reserve(capacity_);
@@ -138,24 +197,20 @@ ShardedServer::ShardedServer(const nn::Network& net, const Shape& sample_shape,
     active_.assign(capacity_, 0);
     for (std::size_t r = 0; r < config_.replicas; ++r) active_[r] = 1;
   }
-  {
-    MutexLock lock(stats_mutex_);
-    counters_.resize(capacity_);
-  }
-  // Initially-active replicas compile eagerly; headroom slots (autoscale
-  // capacity beyond the initial fleet) compile lazily on first activation.
-  for (std::size_t r = 0; r < config_.replicas; ++r) build_replica(r);
+  MutexLock lock(stats_mutex_);
+  counters_.resize(capacity_);
+}
+
+void ShardedServer::start_threads() {
   // Dispatchers start only after every initial replica exists — they scan
   // the whole replica vector for steal victims.
-  {
-    MutexLock join_lock(join_mutex_);
-    dispatchers_.reserve(capacity_);
-    for (std::size_t r = 0; r < capacity_; ++r) {
-      dispatchers_.emplace_back([this, r] { dispatch_loop(r); });
-    }
-    if (config_.probe_interval.count() > 0) {
-      maintenance_ = std::thread([this] { maintenance_loop(); });
-    }
+  MutexLock join_lock(join_mutex_);
+  dispatchers_.reserve(capacity_);
+  for (std::size_t r = 0; r < capacity_; ++r) {
+    dispatchers_.emplace_back([this, r] { dispatch_loop(r); });
+  }
+  if (config_.probe_interval.count() > 0) {
+    maintenance_ = std::thread([this] { maintenance_loop(); });
   }
 }
 
@@ -176,8 +231,9 @@ void ShardedServer::build_replica(std::size_t r) {
     SharedWriterLock plock(replica->program_mutex);
     replica->program = compile(network_, sample_shape_, replica_options);
     replica->pool = std::make_unique<ThreadPool>(thread_split_[r]);
-    replica->executor =
+    replica->owned_executor =
         std::make_unique<Executor>(replica->program, replica->pool.get());
+    replica->executor = replica->owned_executor.get();
     // Record the clean canary reference while the chip is known pristine —
     // this is the bitwise target every future probe (and recalibration)
     // compares against.
@@ -204,13 +260,21 @@ ShardedServer::Replica& ShardedServer::replica_ref(std::size_t r) const {
   return *replica;
 }
 
+ShardedServer::Replica& ShardedServer::lifecycle_ref(std::size_t r) const {
+  Replica& replica = replica_ref(r);
+  GS_CHECK_MSG(replica.canary != nullptr,
+               "replica " << r
+                          << " serves a borrowed executor: no fault lifecycle");
+  return replica;
+}
+
 const CrossbarProgram& ShardedServer::program(std::size_t r) const {
   Replica& replica = replica_ref(r);
   // The reader lock satisfies the guard for the access itself; as documented
   // in the header, the RETURNED reference is not synchronised against later
   // mutation — callers quiesce injection/recalibration first.
   SharedReaderLock plock(replica.program_mutex);
-  return replica.program;
+  return replica.executor->program();
 }
 
 std::size_t ShardedServer::placement_target(std::size_t exclude) const {
@@ -248,8 +312,8 @@ void ShardedServer::finish_dropped(Request& request,
 void ShardedServer::update_queue_gauges() const {
   if (!metrics_) return;
   std::size_t total = 0;
-  for (std::size_t r = 0; r < queues_.size(); ++r) {
-    total += queues_[r].size();
+  for (const std::deque<Request>& queue : queues_) total += queue.size();
+  for (std::size_t r = 0; r < replica_metrics_.size(); ++r) {
     replica_metrics_[r]->queue_depth.set(
         static_cast<double>(queues_[r].size()));
   }
@@ -291,7 +355,7 @@ std::future<Tensor> ShardedServer::submit(Tensor sample,
   request.enqueued = std::chrono::steady_clock::now();
   request.deadline = deadline.count() > 0
                          ? request.enqueued + deadline
-                         : BatchingServer::kNoDeadline;
+                         : kNoDeadline;
   request.tenant = options.tenant;
   request.priority = options.priority;
   request.id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
@@ -336,7 +400,7 @@ std::future<Tensor> ShardedServer::submit(Tensor sample,
       } else {
         std::deque<Request>& queue = queues_[target];
         if (config_.batching.admission.enabled &&
-            request.deadline != BatchingServer::kNoDeadline) {
+            request.deadline != kNoDeadline) {
           const double cost_us =
               config_.batching.admission.assumed_batch_cost.count() > 0
                   ? static_cast<double>(
@@ -460,7 +524,7 @@ void ShardedServer::set_paused(bool paused) {
 
 FaultInjectionReport ShardedServer::inject_replica_faults(
     std::size_t r, const hw::FaultModelConfig& config) {
-  Replica& replica = replica_ref(r);
+  Replica& replica = lifecycle_ref(r);
   const std::string label = "replica" + std::to_string(r) + ":";
   FaultInjectionReport report;
   {
@@ -506,7 +570,7 @@ std::size_t ShardedServer::reroute_queue(std::size_t r,
 }
 
 CanaryProbe ShardedServer::probe_now(std::size_t r) {
-  Replica& replica = replica_ref(r);
+  Replica& replica = lifecycle_ref(r);
   CanaryProbe probe;
   {
     SharedReaderLock plock(replica.program_mutex);
@@ -572,7 +636,7 @@ CanaryProbe ShardedServer::probe_now(std::size_t r) {
 }
 
 bool ShardedServer::recalibrate_now(std::size_t r) {
-  Replica& replica = replica_ref(r);
+  Replica& replica = lifecycle_ref(r);
   {
     // Reprogramming: a fresh chip from the pristine weights, compiled with
     // the replica's original options (same analog seed) — bitwise the
@@ -619,11 +683,11 @@ ReplicaHealth ShardedServer::health(std::size_t r) const {
 std::uint64_t ShardedServer::replica_program_checksum(std::size_t r) const {
   Replica& replica = replica_ref(r);
   SharedReaderLock plock(replica.program_mutex);
-  return program_checksum(replica.program);
+  return program_checksum(replica.executor->program());
 }
 
 std::uint64_t ShardedServer::replica_reference_checksum(std::size_t r) const {
-  return replica_ref(r).canary->reference_checksum();
+  return lifecycle_ref(r).canary->reference_checksum();
 }
 
 double ShardedServer::evaluate_replica(std::size_t r,
@@ -753,8 +817,8 @@ void ShardedServer::dispatch_loop(std::size_t self) {
           continue;
         }
         if (!queues_[self].empty()) {
-          // Own work: BatchingServer coalescing — launch when full, or when
-          // the OLDEST request's coalescing deadline passes (with ranked
+          // Own work: coalescing — launch when full, or when the OLDEST
+          // request's coalescing deadline passes (with ranked
           // insertion the front is the most urgent, not the oldest). The
           // launch decision is made against the CURRENT queue; the wait
           // below is only a timed sleep, re-evaluated from scratch on every
@@ -910,8 +974,8 @@ void ShardedServer::run_batch(std::size_t self, std::size_t victim,
       // Shared with other forwards/probes; excluded only by fault injection
       // and recalibration mutating this replica's program.
       SharedReaderLock plock(replica.program_mutex);
-      // Re-priced per batch (unlike BatchingServer): fault injection and
-      // recalibration change the program's skip flags mid-flight.
+      // Re-priced per batch: fault injection and recalibration change the
+      // program's skip flags mid-flight.
       if (metrics_) profile = replica.executor->profile();
       logits = replica.executor->forward(batch, forward_trace);
     }
@@ -927,7 +991,7 @@ void ShardedServer::run_batch(std::size_t self, std::size_t victim,
     std::size_t hits = 0;
     std::size_t misses = 0;
     for (const Request& request : requests) {
-      if (request.deadline == BatchingServer::kNoDeadline) continue;
+      if (request.deadline == kNoDeadline) continue;
       (finished <= request.deadline ? hits : misses) += 1;
     }
     {
@@ -1025,7 +1089,9 @@ ShardStats ShardedServer::stats() const {
     health = health_;
     active = active_;
   }
-  std::vector<double> all_latencies;
+  // Copied under the lock, folded (and sorted) outside it, so a stats()
+  // call never stalls the dispatchers' per-batch counter updates.
+  std::vector<ReplicaCounters> replica_counters;
   {
     MutexLock lock(stats_mutex_);
     stats.aggregate.rejected = rejected_;
@@ -1037,40 +1103,41 @@ ShardStats ShardedServer::stats() const {
     stats.retried = retried_;
     stats.tenant_rejected = tenant_rejected_;
     stats.drained = drained_;
-    stats.replicas.reserve(capacity_);
-    for (std::size_t r = 0; r < capacity_; ++r) {
-      const ReplicaCounters& counters = counters_[r];
-      ReplicaStats rs;
-      rs.completed = counters.completed;
-      rs.batches = counters.batches;
-      rs.stolen_batches = counters.stolen_batches;
-      rs.max_batch_seen = counters.max_batch_seen;
-      rs.mean_batch = counters.batches == 0
-                          ? 0.0
-                          : static_cast<double>(counters.completed) /
-                                static_cast<double>(counters.batches);
-      std::vector<double> latencies = counters.latencies.samples();
-      std::sort(latencies.begin(), latencies.end());
-      rs.latency_p50_ms = latency_percentile(latencies, 0.50);
-      rs.latency_p95_ms = latency_percentile(latencies, 0.95);
-      rs.latency_p99_ms = latency_percentile(latencies, 0.99);
-      rs.health = health[r];
-      rs.active = active[r] != 0;
-      rs.fault_injections = counters.fault_injections;
-      rs.recalibrations = counters.recalibrations;
+    replica_counters = counters_;
+  }
+  std::vector<double> all_latencies;
+  stats.replicas.reserve(capacity_);
+  for (std::size_t r = 0; r < capacity_; ++r) {
+    const ReplicaCounters& counters = replica_counters[r];
+    ReplicaStats rs;
+    rs.completed = counters.completed;
+    rs.batches = counters.batches;
+    rs.stolen_batches = counters.stolen_batches;
+    rs.max_batch_seen = counters.max_batch_seen;
+    rs.mean_batch = counters.batches == 0
+                        ? 0.0
+                        : static_cast<double>(counters.completed) /
+                              static_cast<double>(counters.batches);
+    std::vector<double> latencies = counters.latencies.samples();
+    std::sort(latencies.begin(), latencies.end());
+    rs.latency_p50_ms = latency_percentile(latencies, 0.50);
+    rs.latency_p95_ms = latency_percentile(latencies, 0.95);
+    rs.latency_p99_ms = latency_percentile(latencies, 0.99);
+    rs.health = health[r];
+    rs.active = active[r] != 0;
+    rs.fault_injections = counters.fault_injections;
+    rs.recalibrations = counters.recalibrations;
 
-      stats.aggregate.completed += rs.completed;
-      stats.aggregate.batches += rs.batches;
-      stats.aggregate.max_batch_seen =
-          std::max(stats.aggregate.max_batch_seen, rs.max_batch_seen);
-      stats.stolen_batches += rs.stolen_batches;
-      stats.recalibrations += rs.recalibrations;
-      stats.aggregate.latency_samples_total += counters.latencies.total();
-      all_latencies.insert(all_latencies.end(),
-                           counters.latencies.samples().begin(),
-                           counters.latencies.samples().end());
-      stats.replicas.push_back(rs);
-    }
+    stats.aggregate.completed += rs.completed;
+    stats.aggregate.batches += rs.batches;
+    stats.aggregate.max_batch_seen =
+        std::max(stats.aggregate.max_batch_seen, rs.max_batch_seen);
+    stats.stolen_batches += rs.stolen_batches;
+    stats.recalibrations += rs.recalibrations;
+    stats.aggregate.latency_samples_total += counters.latencies.total();
+    all_latencies.insert(all_latencies.end(), latencies.begin(),
+                         latencies.end());
+    stats.replicas.push_back(rs);
   }
   for (const char a : active) {
     if (a != 0) ++stats.active_replicas;
@@ -1178,6 +1245,9 @@ AutoscaleDecision ShardedServer::autoscale_tick_now() {
   decision.tick = ++tick_;
 
   // --- Sample the controller inputs at this tick. -------------------------
+  // Only this server's own queues and counters: registry children are shared
+  // by every engine on the registry, so reading them would act on another
+  // fleet's traffic.
   bool quarantined = false;
   std::size_t active = 0;
   std::size_t depth = 0;
@@ -1190,13 +1260,6 @@ AutoscaleDecision ShardedServer::autoscale_tick_now() {
       if (health_[r] == ReplicaHealth::kQuarantined) quarantined = true;
     }
   }
-  if (metrics_) {
-    // Consume the PR 8 observability signal when it is on: the engine
-    // queue-depth gauge equals the direct sum by the gauge invariant, so the
-    // decision is identical either way — but the controller exercises the
-    // production signal path.
-    depth = static_cast<std::size_t>(metrics_->queue_depth.value());
-  }
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::size_t shed_total = 0;
@@ -1207,12 +1270,6 @@ AutoscaleDecision ShardedServer::autoscale_tick_now() {
     misses = deadline_misses_;
     shed_total = shed_;
     rejected_total = rejected_;
-  }
-  if (metrics_) {
-    // Same-by-invariant as the internal counters (asserted by the autoscale
-    // tests); preferred for the same reason as the depth gauge.
-    hits = metrics_->deadline_hits.value();
-    misses = metrics_->deadline_misses.value();
   }
   decision.queue_depth = depth;
   decision.active_replicas = active;

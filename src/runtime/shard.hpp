@@ -1,5 +1,7 @@
 // Sharded multi-replica serving — one fault-tolerant server over N
-// independently-compiled crossbar programs.
+// independently-compiled crossbar programs, and the repo's only serving
+// engine: runtime::BatchingServer is a facade over a one-replica
+// ShardedServer built on a borrowed Executor (the second constructor).
 //
 // Real multi-chip deployments program the same compressed network onto
 // several physical crossbar arrays; each chip realises its own process
@@ -14,7 +16,7 @@
 // ACTIVE replica (shortest-queue placement over replicas not quarantined).
 // Requests may carry deadlines; admission control (AdmissionConfig) rejects
 // predicted misses at submit, full queues shed by deadline priority, and
-// expired requests are shed at batch formation — the BatchingServer overload
+// expired requests are shed at batch formation — the server.hpp overload
 // semantics, per replica. Each replica's dispatcher coalesces its own queue
 // into batches; an idle replica additionally WORK-STEALS ripe foreign work
 // (a full batch, or past-coalescing-deadline requests), which never launches
@@ -46,8 +48,8 @@
 // traffic replay"): the server provisions CAPACITY for max_replicas but
 // activates only `replicas` at start. A controller — run by the maintenance
 // thread each probe tick, or manually via autoscale_tick_now() — samples
-// queue depth and deadline-SLO attainment (from the PR 8 metrics registry
-// when metrics are on, the internal counters otherwise) and scales the
+// its own queue depth and deadline-SLO attainment (never the metrics
+// registry, whose children other engines share) and scales the
 // active set between min_replicas and max_replicas. Scale-up compiles the
 // next replica slot on first use (seed = base + r·seed_stride) and admits it
 // through the same bitwise-clean canary gate quarantined replicas rejoin
@@ -66,10 +68,12 @@
 // hits its own cap and is rejected (gs_server_tenant_rejected_total) while
 // other tenants keep being placed.
 //
-// Observability (config.batching.observability): the shard exports the
-// engine="sharded" serving metrics plus per-replica lifecycle metrics
-// (gs_replica_* — queue depth, health state, probes, fault injections,
-// recalibrations, health transitions), and threads request traces through
+// Observability (config.batching.observability): the compiling constructor
+// exports the engine="sharded" serving metrics plus per-replica lifecycle
+// metrics (gs_replica_* — queue depth, health state, probes, fault
+// injections, recalibrations, health transitions); the borrowed one-replica
+// engine exports the engine="batching" serving metrics only. Both thread
+// request traces through
 // placement, stealing (annotated on the batch span) and quarantine
 // re-routing (annotated on the queue span). Fleet events are logged with
 // structured fields at Debug level.
@@ -205,8 +209,8 @@ struct ShardConfig {
   void validate() const;
 };
 
-/// Per-replica serving counters (latency window per replica:
-/// BatchingServer::kLatencyWindow samples).
+/// Per-replica serving counters (latency window per replica: kLatencyWindow
+/// samples).
 struct ReplicaStats {
   std::size_t completed = 0;
   std::size_t batches = 0;
@@ -252,6 +256,13 @@ class ShardedServer {
   /// construction.
   ShardedServer(const nn::Network& net, const Shape& sample_shape,
                 const CompileOptions& options = {}, ShardConfig config = {});
+  /// One replica serving the BORROWED `executor` (which must outlive the
+  /// server) with `config` — the BatchingServer engine. No compile, no
+  /// network clone, no canary, no maintenance thread; the replica's pool is
+  /// the executor's own. inject_replica_faults, probe_now, recalibrate_now,
+  /// replica_reference_checksum and autoscale_tick_now reject it (GS_CHECK).
+  /// Metrics register under engine="batching", without gs_replica_* series.
+  ShardedServer(const Executor& executor, BatchingConfig config);
   ~ShardedServer();
 
   ShardedServer(const ShardedServer&) = delete;
@@ -373,8 +384,7 @@ class ShardedServer {
     Tensor sample;
     std::promise<Tensor> promise;
     std::chrono::steady_clock::time_point enqueued;
-    std::chrono::steady_clock::time_point deadline =
-        BatchingServer::kNoDeadline;
+    std::chrono::steady_clock::time_point deadline = kNoDeadline;
     std::uint64_t tenant = 0;
     int priority = 0;
     std::size_t attempts = 0;  ///< re-routes consumed (quarantine retries)
@@ -383,20 +393,25 @@ class ShardedServer {
     std::uint64_t queue_span = 0;       ///< open "queue" span id
   };
 
-  /// One compiled replica: the program plus its private executor/pool. Only
-  /// the program is mutable after construction (fault injection and
-  /// recalibration), so only it carries a lock — everything the SERVING
-  /// state machine mutates (queues, health, counters) lives in the parallel
-  /// per-replica vectors below, where the guarding mutex is a sibling member
-  /// the thread-safety analysis can name.
+  /// One replica: a compiled program plus its private executor/pool, or a
+  /// borrowed executor (the one-replica engine). Only the compiled program
+  /// is mutable after construction (fault injection and recalibration), so
+  /// only it carries a lock — everything the SERVING state machine mutates
+  /// (queues, health, counters) lives in the parallel per-replica vectors
+  /// below, where the guarding mutex is a sibling member the thread-safety
+  /// analysis can name.
   struct Replica {
     /// Serialises program mutation (fault injection, recalibration) against
     /// forwards: forwards/probes hold it shared, mutators exclusive.
     mutable SharedMutex program_mutex;
+    /// The compiled program (unused by a borrowed replica).
     CrossbarProgram program GS_GUARDED_BY(program_mutex);
     CompileOptions options;  ///< exact options (incl. seed) for reprogramming
     std::unique_ptr<ThreadPool> pool;
-    std::unique_ptr<Executor> executor;
+    std::unique_ptr<Executor> owned_executor;
+    /// What forwards run on: owned_executor, or the borrowed executor.
+    const Executor* executor = nullptr;
+    /// Clean canary reference; null for a borrowed replica (no lifecycle).
     std::unique_ptr<CanarySet> canary;
   };
 
@@ -409,9 +424,17 @@ class ShardedServer {
     std::size_t max_batch_seen = 0;
     std::size_t fault_injections = 0;
     std::size_t recalibrations = 0;
-    LatencyWindow latencies{BatchingServer::kLatencyWindow};
+    LatencyWindow latencies{kLatencyWindow};
   };
 
+  /// Constructor steps shared by both constructors: metrics (engine="sharded"
+  /// with gs_replica_* series, or engine="batching" without them when
+  /// `borrowed`), the tracer, and the serving state of capacity_ empty
+  /// replica slots.
+  void init_serving(bool borrowed);
+  /// Last constructor step: one dispatcher per slot, plus the maintenance
+  /// thread when probe_interval > 0.
+  void start_threads();
   void dispatch_loop(std::size_t self);
   void maintenance_loop();
   /// Compiles replica r's program/executor/canary into its slot (no-op when
@@ -421,6 +444,9 @@ class ShardedServer {
   /// Replica r's built slot (GS_CHECKs it exists). Slots are never torn down
   /// once built, so the reference stays valid after mutex_ is released.
   Replica& replica_ref(std::size_t r) const GS_EXCLUDES(mutex_);
+  /// replica_ref for the fault lifecycle: GS_CHECKs that replica r has one
+  /// (a borrowed executor's program is not the server's to mutate or probe).
+  Replica& lifecycle_ref(std::size_t r) const GS_EXCLUDES(mutex_);
   /// Re-routes every request queued on replica r to active replicas via
   /// placement; requests that cannot be placed land in `shed`. With
   /// `count_retry` each move consumes a retry attempt (the quarantine path);
@@ -486,9 +512,9 @@ class ShardedServer {
   std::vector<std::unique_ptr<Replica>> replicas_ GS_GUARDED_BY(mutex_);
 
   /// Registry-backed serving metrics (null when observability.metrics off).
-  /// Unlike BatchingServer, the per-sample profile is NOT priced once here:
-  /// fault injection and recalibration mutate replica programs (including
-  /// skip flags), so run_batch re-prices under the replica's program lock.
+  /// The per-sample profile is NOT priced once here: fault injection and
+  /// recalibration mutate replica programs (including skip flags), so
+  /// run_batch re-prices under the replica's program lock.
   std::unique_ptr<obs::ServingMetrics> metrics_;
   std::unique_ptr<obs::FleetMetrics> fleet_metrics_;
   std::vector<std::unique_ptr<obs::ReplicaMetrics>> replica_metrics_;

@@ -4,8 +4,8 @@
 // at each tick, so every test drives ticks manually against PAUSED
 // dispatchers — the queue state each tick sees is exactly what the test
 // submitted, and the resulting decision log (and its checksum) is asserted
-// bitwise. Private metric registries keep the controller's registry-signal
-// path isolated from other tests in the binary.
+// bitwise. The controller samples only its own server's queues and
+// counters, so fleets sharing a metrics registry do not steer each other.
 #include "runtime/shard.hpp"
 
 #include <gtest/gtest.h>
@@ -249,9 +249,9 @@ TEST(AutoscaleTest, ControllerInputsAgreeWithInternalCounters) {
   }
   for (auto& f : futures) f.get();
 
-  // The controller reads the registry's counters; the invariant is that
-  // they equal the internal stats counters exactly, so the tick's deltas
-  // match what stats() reports.
+  // The controller reads the internal counters; the exported registry
+  // counters equal them exactly, so the tick's deltas match what stats()
+  // and the dashboards report.
   const AutoscaleDecision decision = server.autoscale_tick_now();
   const ShardStats stats = server.stats();
   EXPECT_EQ(stats.aggregate.deadline_hits, 6u);
@@ -265,6 +265,44 @@ TEST(AutoscaleTest, ControllerInputsAgreeWithInternalCounters) {
   EXPECT_EQ(static_cast<std::size_t>(probe.completed.value()),
             stats.aggregate.completed);
   server.shutdown();
+}
+
+TEST(AutoscaleTest, FleetsSharingARegistryDecideOnTheirOwnTraffic) {
+  // Two elastic fleets on one registry share its engine="sharded" children.
+  // Fleet B serves deadlined traffic, then builds a backlog behind a pause;
+  // idle fleet A must neither see B's depth nor count B's deadline hits.
+  nn::Network net = small_net();
+  obs::Registry registry;
+  ShardedServer fleet_a(net, Shape{64}, CompileOptions{},
+                        elastic_config(registry));
+  ShardedServer fleet_b(net, Shape{64}, CompileOptions{},
+                        elastic_config(registry));
+
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(fleet_b.submit(random_sample(s), std::chrono::seconds(30))
+                  .get()
+                  .numel(),
+              10u);
+  }
+  fleet_b.set_paused(true);
+  std::vector<std::future<Tensor>> backlog;
+  for (std::uint64_t s = 0; s < 8; ++s) {
+    backlog.push_back(fleet_b.submit(random_sample(10 + s)));
+  }
+
+  const AutoscaleDecision idle = fleet_a.autoscale_tick_now();
+  EXPECT_EQ(idle.queue_depth, 0u);
+  EXPECT_EQ(idle.deadline_hits_delta, 0u);
+  EXPECT_EQ(idle.action, AutoscaleAction::kHold);
+  EXPECT_EQ(fleet_a.active_replica_count(), 1u);
+
+  const AutoscaleDecision busy = fleet_b.autoscale_tick_now();
+  EXPECT_EQ(busy.queue_depth, 8u);
+  EXPECT_EQ(busy.deadline_hits_delta, 3u);
+  EXPECT_EQ(busy.action, AutoscaleAction::kUp);
+
+  fleet_b.set_paused(false);
+  for (auto& f : backlog) EXPECT_EQ(f.get().numel(), 10u);
 }
 
 TEST(FairnessTest, AdversarialTenantHitsItsCapWhileOthersKeepPlacing) {

@@ -13,14 +13,17 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "core/models.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "nn/dense.hpp"
 #include "nn/trainer.hpp"
+#include "obs/metrics.hpp"
 
 namespace gs::runtime {
 namespace {
@@ -244,6 +247,79 @@ TEST(ShardedServerTest, ThreadBudgetSplitsAcrossReplicas) {
   starved.total_threads = 2;  // budget below replica count → 1 each
   ShardedServer small(net, Shape{64}, CompileOptions{}, starved);
   EXPECT_EQ(small.thread_split(), (std::vector<std::size_t>{1, 1, 1, 1}));
+}
+
+TEST(ShardedServerTest, BorrowedExecutorIsAOneReplicaBatchingEngine) {
+  nn::Network net = small_net();
+  const CrossbarProgram program = compile(net, Shape{64});
+  ThreadPool pool(3);
+  const Executor executor(program, &pool);
+  obs::Registry registry;
+  BatchingConfig config;
+  config.max_batch = 4;
+  config.max_delay = std::chrono::microseconds(200);
+  config.observability.registry = &registry;
+  ShardedServer server(executor, config);
+
+  // Nothing compiled, cloned or recorded: the one replica serves the
+  // borrowed program itself on the borrowed pool, and has no canary.
+  ASSERT_EQ(server.replica_count(), 1u);
+  EXPECT_EQ(&server.program(0), &program);
+  EXPECT_EQ(server.threads_for_replica(0), pool.size());
+  EXPECT_EQ(server.thread_split(), (std::vector<std::size_t>{3}));
+  EXPECT_THROW(server.replica_reference_checksum(0), Error);
+  // No fault lifecycle and no autoscaling on a borrowed replica.
+  hw::FaultModelConfig faults;
+  faults.stuck_rate = 0.2;
+  EXPECT_THROW(server.inject_replica_faults(0, faults), Error);
+  EXPECT_THROW(server.probe_now(0), Error);
+  EXPECT_THROW(server.recalibrate_now(0), Error);
+  EXPECT_THROW(server.autoscale_tick_now(), Error);
+
+  // Mixed batch compositions: bursts queued while paused and released at
+  // once run as batches of 1, 3, a full 4, and 4 + 3.
+  std::uint64_t served = 0;
+  for (const std::uint64_t burst : {1u, 3u, 4u, 7u}) {
+    server.set_paused(true);
+    std::vector<std::future<Tensor>> futures;
+    for (std::uint64_t i = 0; i < burst; ++i) {
+      futures.push_back(server.submit(random_sample(served + i)));
+    }
+    server.set_paused(false);
+    for (std::uint64_t i = 0; i < burst; ++i) {
+      const Tensor sample = random_sample(served + i);
+      Tensor batch(Shape{1, 64});
+      std::copy(sample.data(), sample.data() + 64, batch.data());
+      const Tensor expected = executor.forward(batch);
+      const Tensor logits = futures[i].get();
+      ASSERT_EQ(logits.numel(), expected.numel());
+      EXPECT_EQ(std::memcmp(logits.data(), expected.data(),
+                            logits.numel() * sizeof(float)),
+                0)
+          << "burst " << burst << " request " << i;
+    }
+    served += burst;
+  }
+  server.shutdown();
+  const ShardStats stats = server.stats();
+  EXPECT_EQ(stats.aggregate.completed, served);
+  EXPECT_EQ(stats.aggregate.max_batch_seen, 4u);
+
+  // Serving metrics land under engine="batching"; the engine exports no
+  // sharded or per-replica (gs_replica_*) series.
+  for (const obs::MetricSample& sample : registry.snapshot()) {
+    EXPECT_NE(sample.name.rfind("gs_replica_", 0), 0u) << sample.name;
+    const auto engine = sample.labels.find("engine");
+    if (engine != sample.labels.end()) {
+      EXPECT_EQ(engine->second, "batching") << sample.name;
+    }
+  }
+  EXPECT_EQ(registry
+                .counter("gs_server_requests_total", "",
+                         obs::Labels{{"engine", "batching"},
+                                     {"result", "completed"}})
+                .value(),
+            served);
 }
 
 TEST(ShardedServerTest, SplitThreadBudgetSumsToBudget) {
