@@ -1,7 +1,10 @@
 #include "hw/analog.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -27,6 +30,83 @@ double quantize(double g, const AnalogParams& p) {
       std::clamp(idx, 0.0, static_cast<double>(p.levels - 1));
   return p.g_min + clamped * step;
 }
+
+constexpr std::size_t kPanel = AnalogCrossbar::kPanelRows;
+
+#if defined(__GNUC__) || defined(__clang__)
+// The panel kernel uses GCC/Clang vector extensions, like the GEMM
+// micro-kernel (linalg/gemm_kernel.cpp). A full column block is one vector
+// register per panel vector — 8 doubles on AVX-512, 4 elsewhere — so the
+// kPanelRows accumulators of a block are kPanelRows independent FMA chains
+// in flight, enough to hide the FMA latency; narrower blocks finish the
+// tile's columns.
+#define GS_ANALOG_VECTOR_KERNEL 1
+typedef double vd8 __attribute__((vector_size(8 * sizeof(double))));
+typedef float vf8 __attribute__((vector_size(8 * sizeof(float))));
+typedef double vd4 __attribute__((vector_size(4 * sizeof(double))));
+typedef float vf4 __attribute__((vector_size(4 * sizeof(float))));
+typedef double vd2 __attribute__((vector_size(2 * sizeof(double))));
+typedef float vf2 __attribute__((vector_size(2 * sizeof(float))));
+
+/// N panel vectors × one column block of VD lanes from column j: the
+/// block's weights are loaded (and widened) once per weight row and reused
+/// by all N vectors, whose accumulators stay in registers.
+template <std::size_t N, typename VD, typename VF>
+void panel_block(const float* w, std::size_t p, std::size_t q, std::size_t j,
+                 const double* panel, double* y, std::size_t ldy) {
+  VD acc[N] = {};
+  for (std::size_t i = 0; i < p; ++i) {
+    VF wf;
+    std::memcpy(&wf, w + i * q + j, sizeof wf);
+    const VD wd = __builtin_convertvector(wf, VD);
+    const double* x = panel + i * kPanel;
+    for (std::size_t r = 0; r < N; ++r) acc[r] += x[r] * wd;
+  }
+  for (std::size_t r = 0; r < N; ++r) {
+    std::memcpy(y + r * ldy + j, &acc[r], sizeof acc[r]);
+  }
+}
+#endif
+
+/// matvec_panel for exactly N vectors: full-register column blocks, then
+/// narrower blocks, then a scalar column.
+template <std::size_t N>
+void panel_kernel(const float* w, std::size_t p, std::size_t q,
+                  const double* panel, double* y, std::size_t ldy) {
+  std::size_t j = 0;
+#ifdef GS_ANALOG_VECTOR_KERNEL
+#ifdef __AVX512F__
+  for (; j + 8 <= q; j += 8) {
+    panel_block<N, vd8, vf8>(w, p, q, j, panel, y, ldy);
+  }
+#endif
+  for (; j + 4 <= q; j += 4) {
+    panel_block<N, vd4, vf4>(w, p, q, j, panel, y, ldy);
+  }
+  if (j + 2 <= q) {
+    panel_block<N, vd2, vf2>(w, p, q, j, panel, y, ldy);
+    j += 2;
+  }
+#endif
+  for (; j < q; ++j) {
+    double acc[N] = {};
+    for (std::size_t i = 0; i < p; ++i) {
+      const double wij = static_cast<double>(w[i * q + j]);
+      for (std::size_t r = 0; r < N; ++r) {
+        acc[r] += panel[i * kPanel + r] * wij;
+      }
+    }
+    for (std::size_t r = 0; r < N; ++r) y[r * ldy + j] = acc[r];
+  }
+}
+
+/// One panel_kernel instantiation per vector count 1..kPanelRows.
+template <std::size_t... N>
+constexpr auto make_panel_kernels(std::index_sequence<N...>) {
+  return std::array{&panel_kernel<N + 1>...};
+}
+constexpr auto kPanelKernels =
+    make_panel_kernels(std::make_index_sequence<kPanel>{});
 
 }  // namespace
 
@@ -125,6 +205,14 @@ void AnalogCrossbar::accumulate_matvec(const float* x, double* acc) const {
       acc[j] += xi * static_cast<double>(row[j]);
     }
   }
+}
+
+void AnalogCrossbar::matvec_panel(const double* panel, std::size_t n,
+                                  double* y, std::size_t ldy) const {
+  GS_CHECK_MSG(n >= 1 && n <= kPanelRows,
+               "matvec_panel: " << n << " vectors, expected 1.." << kPanelRows);
+  kPanelKernels[n - 1](effective_.data(), effective_.rows(), effective_.cols(),
+                       panel, y, ldy);
 }
 
 Tensor analog_effective_matrix(const Tensor& m, const TileGrid& grid,

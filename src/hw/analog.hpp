@@ -56,11 +56,16 @@ struct AnalogParams {
 /// injection/reprogramming mutator, which must not race any reader (the
 /// serving tier serialises it against execution with a per-replica program
 /// lock). Determinism: programming consumes the caller's Rng stream in a
-/// fixed element order, and accumulate_matvec() accumulates in double
-/// precision in fixed row order, so both the programmed weights and every
-/// MVM are bitwise reproducible.
+/// fixed element order, and accumulate_matvec() and matvec_panel()
+/// accumulate in double precision in fixed row order, so both the
+/// programmed weights and every MVM are bitwise reproducible.
 class AnalogCrossbar {
  public:
+  /// Input vectors one matvec_panel() call multiplies together: the
+  /// register-block height, so each weight is loaded once per this many
+  /// rows.
+  static constexpr std::size_t kPanelRows = 8;
+
   /// Programs `weights` (P×Q) into the array. `w_max` is the full-scale
   /// weight the conductance range represents; pass the layer's max |w| so
   /// the mapping uses the full dynamic range.
@@ -76,12 +81,25 @@ class AnalogCrossbar {
   /// direct use; network-level evaluation uses effective_weights()).
   Tensor matvec(const Tensor& x) const;
 
-  /// Raw per-tile MVM kernel: accumulates xᵀ·W_eff into `acc` (length
-  /// cols()), reading exactly rows() floats from `x`. Accumulation is double
-  /// precision in fixed row order, so repeated calls are bitwise
-  /// reproducible — this is the inner kernel of the crossbar runtime
-  /// executor (runtime/executor.hpp).
+  /// Scalar per-vector MVM: accumulates xᵀ·W_eff into `acc` (length
+  /// cols()), reading exactly rows() floats from `x`, in double precision in
+  /// ascending weight-row order (exact-zero inputs are skipped). The body of
+  /// matvec() and the reference matvec_panel() is tested against.
   void accumulate_matvec(const float* x, double* acc) const;
+
+  /// Row-panel MVM kernel of the crossbar runtime (runtime/executor.hpp):
+  /// y_r = x_rᵀ·W_eff for the `n` (1..kPanelRows) input vectors of a packed
+  /// panel. `panel` holds rows() × kPanelRows float-representable doubles,
+  /// the input weight row i meets in vector r at panel[i·kPanelRows + r]
+  /// (lanes ≥ n are never read); vector r's cols() outputs go to
+  /// y[r·ldy + j]. Every output starts from +0.0 and adds its terms in
+  /// ascending weight-row order, and a product of two floats is exact in
+  /// double (so FMA contraction cannot change it): y_r is bitwise what
+  /// accumulate_matvec leaves in a +0.0-filled accumulator for the same
+  /// inputs (its zero-skip only drops ±0 terms, which leave such a sum
+  /// unchanged).
+  void matvec_panel(const double* panel, std::size_t n, double* y,
+                    std::size_t ldy) const;
 
   std::size_t rows() const { return effective_.rows(); }
   std::size_t cols() const { return effective_.cols(); }

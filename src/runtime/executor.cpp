@@ -9,11 +9,13 @@
 #include "common/thread_pool.hpp"
 #include "nn/trainer.hpp"
 #include "obs/trace.hpp"
-#include "tensor/matrix.hpp"
+#include "tensor/im2col.hpp"
 
 namespace gs::runtime {
 
 namespace {
+
+constexpr std::size_t kPanel = hw::AnalogCrossbar::kPanelRows;
 
 std::size_t pool_out_extent(std::size_t in, std::size_t kernel,
                             std::size_t stride) {
@@ -53,6 +55,272 @@ std::uint64_t begin_stage_span(const ForwardTrace& trace,
   return span;
 }
 
+/// Where a crossbar stage reads its input vectors: `data` holds dense rows
+/// of the stage's input width, or — when `conv` is set — the B×C×H×W batch
+/// of a conv step's first stage, whose im2col patch rows are gathered
+/// straight into each panel (input vector b·oh·ow + pos is output position
+/// pos of sample b).
+struct StageInput {
+  const float* data = nullptr;
+  const ConvGeometry* conv = nullptr;
+};
+
+/// Where a crossbar stage writes: dense rows of the stage's output width,
+/// or — when `patches` > 0, the last stage of a conv step — channel-major
+/// B×F×oh×ow with `patches` = oh·ow. A non-null `bias` is added after the
+/// float conversion, in float, exactly as add_row_vector would.
+struct StageOutput {
+  float* data = nullptr;
+  const float* bias = nullptr;
+  std::size_t patches = 0;
+};
+
+/// Per-thread workspace of the stage tasks, grown on first use and reused
+/// by every later task the thread runs, so the tile loop allocates nothing.
+/// Tasks never nest, so one thread never holds two workspaces at once.
+struct StageScratch {
+  std::vector<double> values;  // input panel | gathered | partial | acc
+  std::vector<float> patch;    // one im2col patch row (see pack_panel)
+};
+
+StageScratch& stage_scratch() {
+  thread_local StageScratch scratch;
+  return scratch;
+}
+
+/// Packs raw input vectors r0..r0+n-1 of a stage into the kernel's
+/// interleaved panel layout: element i of vector r at panel[i·kPanel + r].
+/// Conv patch rows come straight from the image; `patch` holds one patch
+/// row when it must be gathered alone.
+void pack_panel(const StageInput& in, std::size_t in_dim, std::size_t r0,
+                std::size_t n, double* panel, std::vector<float>& patch) {
+  if (in.conv == nullptr) {
+    const float* src = in.data + r0 * in_dim;
+    for (std::size_t i = 0; i < in_dim; ++i) {
+      for (std::size_t r = 0; r < n; ++r) {
+        panel[i * kPanel + r] = src[r * in_dim + i];
+      }
+    }
+    return;
+  }
+  const ConvGeometry& g = *in.conv;
+  const std::size_t out_w = g.out_width();
+  const std::size_t patches = g.out_height() * out_w;
+  const std::size_t image_numel = g.in_channels * g.in_height * g.in_width;
+  const float* image = in.data + r0 / patches * image_numel;
+  const std::size_t oy = r0 % patches / out_w;
+  const std::size_t ox = r0 % patches % out_w;
+  const std::size_t y0 = oy * g.stride_h;
+  const std::size_t x0 = ox * g.stride_w;
+  // n consecutive positions of one output row at stride 1 whose receptive
+  // fields lie inside the image: each patch element of the n vectors is n
+  // contiguous floats of one image row.
+  if (g.stride_w == 1 && ox + n <= out_w && y0 >= g.pad_h &&
+      y0 - g.pad_h + g.kernel_h <= g.in_height && x0 >= g.pad_w &&
+      x0 + n - 1 - g.pad_w + g.kernel_w <= g.in_width) {
+    std::size_t i = 0;
+    for (std::size_t c = 0; c < g.in_channels; ++c) {
+      for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
+        const float* line = image +
+                            (c * g.in_height + y0 - g.pad_h + ky) * g.in_width +
+                            (x0 - g.pad_w);
+        for (std::size_t kx = 0; kx < g.kernel_w; ++kx, ++i) {
+          const float* src = line + kx;
+          for (std::size_t r = 0; r < n; ++r) panel[i * kPanel + r] = src[r];
+        }
+      }
+    }
+    return;
+  }
+  patch.resize(in_dim);
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t v = r0 + r;
+    im2col_patch(in.data + v / patches * image_numel, g,
+                 v % patches / out_w, v % patches % out_w, patch.data());
+    for (std::size_t i = 0; i < in_dim; ++i) {
+      panel[i * kPanel + r] = patch[i];
+    }
+  }
+}
+
+/// A tile's input rows or output columns in matrix coordinates: a
+/// contiguous run from `first` (a padded tile's slice, or a repacked tile
+/// whose live wires happen to be adjacent), else the tile's ascending index
+/// map.
+struct Wires {
+  std::size_t first = 0;
+  const std::uint32_t* map = nullptr;
+};
+
+Wires live_wires(const std::vector<std::uint32_t>& map,
+                 std::size_t slice_begin) {
+  if (map.empty()) return {slice_begin, nullptr};
+  if (map.back() - map.front() + 1 == map.size()) {
+    return {map.front(), nullptr};
+  }
+  return {0, map.data()};
+}
+
+/// One crossbar stage: every input vector through the plan's tiles with
+/// DAC/ADC at the stage boundary. Tasks own disjoint row blocks and walk
+/// them in panels of kPanel input vectors. Per panel the converter front
+/// end runs once — each vector's full scale (max |x| over the whole
+/// vector) and its DAC levels, in one interleaved panel — and then one
+/// loop serves both lowerings: a tile column's schedule is its tiles in
+/// ascending tile row (padded plans: row-major `tiles`, skip-marked ones
+/// not run; repacked plans: `column_tiles`), a tile reads a contiguous row
+/// range of the panel in place or gathers its live rows, and its ADC'd
+/// sums land on contiguous or scattered columns. Per output the arithmetic
+/// is the per-row loop's — MVM from +0.0 in ascending weight-row order,
+/// ADC per tile, add in ascending tile-row order — so neither the pool
+/// size, the blocking nor the batch composition can change a bit.
+void apply_plan(ThreadPool& tp, const MatrixPlan& plan,
+                const DacAdcParams& conv, std::size_t rows,
+                const StageInput& in, const StageOutput& out) {
+  const std::size_t in_dim = plan.grid.rows;
+  const std::size_t out_dim = plan.grid.cols;
+  const std::size_t grid_rows = plan.grid.grid_rows();
+  const std::size_t grid_cols = plan.grid.grid_cols();
+  const bool need_scale = conv.dac_levels > 0 || conv.adc_levels > 0;
+  // ADC no-overload full scale is per PADDED tile geometry: P inputs at
+  // x_max through weights at w_max. A repacked tile keeps it — the library
+  // converter does not shrink with the array, and keeping it fixed is what
+  // makes the repacked lowering bitwise identical to the padded one.
+  const double adc_gain =
+      plan.w_max * static_cast<double>(plan.grid.tile.rows);
+  const std::size_t panel_len = kPanel * in_dim;
+  const std::size_t tile_len = kPanel * plan.grid.tile.rows;
+  const std::size_t out_len = kPanel * plan.grid.tile.cols;
+
+  // Row blocks are whole panels; blocking only partitions work, so the
+  // block size may track the pool size freely.
+  const std::size_t target = (rows + tp.size() * 4 - 1) / (tp.size() * 4);
+  const std::size_t block = std::clamp<std::size_t>(
+      (target + kPanel - 1) / kPanel * kPanel, kPanel, 64);
+
+  tp.parallel_for((rows + block - 1) / block, [&](std::size_t task) {
+    const std::size_t row_begin = task * block;
+    const std::size_t row_end = std::min(row_begin + block, rows);
+    StageScratch& scratch = stage_scratch();
+    const std::size_t values = panel_len + tile_len + 2 * out_len;
+    if (scratch.values.size() < values) scratch.values.resize(values);
+    double* const panel = scratch.values.data();
+    double* const gathered = panel + panel_len;
+    double* const partial = gathered + tile_len;
+    double* const acc = partial + out_len;
+
+    for (std::size_t r0 = row_begin; r0 < row_end; r0 += kPanel) {
+      const std::size_t n = std::min(kPanel, row_end - r0);
+      pack_panel(in, in_dim, r0, n, panel, scratch.patch);
+      // Converter front end: each input vector's DAC/ADC full scale is its
+      // own max |x|; the DAC quantises in place (an all-zero vector,
+      // x_max == 0, passes through as is).
+      double x_max[kPanel] = {};
+      if (need_scale) {
+        for (std::size_t i = 0; i < in_dim; ++i) {
+          for (std::size_t r = 0; r < n; ++r) {
+            x_max[r] = std::max(x_max[r], std::fabs(panel[i * kPanel + r]));
+          }
+        }
+      }
+      if (conv.dac_levels > 0) {
+        for (std::size_t r = 0; r < n; ++r) {
+          if (!(x_max[r] > 0.0)) continue;
+          for (std::size_t i = 0; i < in_dim; ++i) {
+            double& v = panel[i * kPanel + r];
+            v = static_cast<float>(
+                quantize_uniform(v, x_max[r], conv.dac_levels));
+          }
+        }
+      }
+
+      for (std::size_t tc = 0; tc < grid_cols; ++tc) {
+        const hw::GroupSlice col = hw::tile_slice(plan.grid, 0, tc);
+        const std::size_t width = col.col_end - col.col_begin;
+        const std::size_t schedule =
+            plan.repacked ? plan.column_tiles[tc].size() : grid_rows;
+        bool started = false;  // acc holds this column's running sums
+        for (std::size_t k = 0; k < schedule; ++k) {
+          const ProgramTile& tile =
+              plan.tiles[plan.repacked ? plan.column_tiles[tc][k]
+                                       : k * grid_cols + tc];
+          // Compile-proved zero contribution: not running it leaves the
+          // remaining fixed-order partial sums bitwise unchanged.
+          if (tile.skip) continue;
+          const std::size_t q = tile.xbar.cols();
+          const Wires rows_in =
+              live_wires(tile.in_gather, tile.slice.row_begin);
+          const Wires cols_out =
+              live_wires(tile.out_scatter, tile.slice.col_begin);
+          const double* x = panel + rows_in.first * kPanel;
+          if (rows_in.map != nullptr) {
+            for (std::size_t i = 0; i < tile.xbar.rows(); ++i) {
+              std::copy_n(panel + rows_in.map[i] * kPanel, kPanel,
+                          gathered + i * kPanel);
+            }
+            x = gathered;
+          }
+          // A tile that starts a column and spans it writes straight into
+          // acc: 0.0 + y == y bitwise, since an MVM sum (from +0.0) or an
+          // ADC level is never −0.0.
+          const bool first =
+              !started && cols_out.map == nullptr && q == width;
+          if (!started && !first) std::fill(acc, acc + n * width, 0.0);
+          started = true;
+          double* const y = first ? acc : partial;
+          tile.xbar.matvec_panel(x, n, y, q);
+          if (conv.adc_levels > 0) {
+            for (std::size_t r = 0; r < n; ++r) {
+              if (!(x_max[r] > 0.0)) continue;
+              const double full_scale = x_max[r] * adc_gain;
+              double* const sums = y + r * q;
+              for (std::size_t j = 0; j < q; ++j) {
+                sums[j] =
+                    quantize_uniform(sums[j], full_scale, conv.adc_levels);
+              }
+            }
+          }
+          if (first) continue;
+          // Digital partial-sum accumulation, fixed tile-row order.
+          for (std::size_t r = 0; r < n; ++r) {
+            double* a = acc + r * width;
+            const double* p = partial + r * q;
+            if (cols_out.map == nullptr) {
+              a += cols_out.first - col.col_begin;
+              for (std::size_t j = 0; j < q; ++j) a[j] += p[j];
+            } else {
+              for (std::size_t j = 0; j < q; ++j) {
+                a[cols_out.map[j] - col.col_begin] += p[j];
+              }
+            }
+          }
+        }
+        if (!started) std::fill(acc, acc + n * width, 0.0);
+
+        // Float conversion, then the bias in float, into row-major rows or
+        // channel-major planes.
+        for (std::size_t r = 0; r < n; ++r) {
+          float* dst = out.data;
+          std::size_t stride = 1;
+          if (out.patches == 0) {
+            dst += (r0 + r) * out_dim + col.col_begin;
+          } else {
+            const std::size_t b = (r0 + r) / out.patches;
+            const std::size_t pos = (r0 + r) % out.patches;
+            dst += (b * out_dim + col.col_begin) * out.patches + pos;
+            stride = out.patches;
+          }
+          for (std::size_t j = 0; j < width; ++j) {
+            float v = static_cast<float>(acc[r * width + j]);
+            if (out.bias != nullptr) v += out.bias[col.col_begin + j];
+            dst[j * stride] = v;
+          }
+        }
+      }
+    }
+  });
+}
+
 }  // namespace
 
 Executor::Executor(const CrossbarProgram& program, ThreadPool* pool)
@@ -62,219 +330,52 @@ ThreadPool& Executor::pool() const {
   return pool_ != nullptr ? *pool_ : ThreadPool::global();
 }
 
-void Executor::apply_plan(const MatrixPlan& plan, const Tensor& act,
-                          Tensor& out) const {
-  const std::size_t in_dim = plan.grid.rows;
-  const std::size_t out_dim = plan.grid.cols;
-  GS_CHECK(act.rank() == 2 && act.cols() == in_dim);
-  GS_CHECK(out.rank() == 2 && out.rows() == act.rows() &&
-           out.cols() == out_dim);
-  const std::size_t rows = act.rows();
-  const std::size_t grid_rows = plan.grid.grid_rows();
-  const std::size_t grid_cols = plan.grid.grid_cols();
-  const DacAdcParams& conv = program_->options().converters;
-  const bool need_scale = conv.dac_levels > 0 || conv.adc_levels > 0;
-  // ADC no-overload full scale is per tile geometry: P inputs at x_max
-  // through weights at w_max.
-  const double adc_gain =
-      plan.w_max * static_cast<double>(plan.grid.tile.rows);
-
-  // Converter front-end, hoisted out of the per-tile-column tasks: the
-  // per-input-vector full scale and the DAC-quantised activations are pure
-  // per-row functions, so computing them once keeps every task's arithmetic
-  // unchanged while avoiding a grid_cols-fold rescan of the row.
-  std::vector<double> row_scale;
-  Tensor dac_quantized;
-  const Tensor* input = &act;
-  if (need_scale) {
-    row_scale.resize(rows);
-    if (conv.dac_levels > 0) dac_quantized = Tensor(act.shape());
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float* x = act.data() + r * in_dim;
-      double x_max = 0.0;
-      for (std::size_t i = 0; i < in_dim; ++i) {
-        x_max = std::max(x_max, static_cast<double>(std::fabs(x[i])));
-      }
-      row_scale[r] = x_max;
-      if (conv.dac_levels > 0) {
-        float* q = dac_quantized.data() + r * in_dim;
-        if (x_max > 0.0) {
-          for (std::size_t i = 0; i < in_dim; ++i) {
-            q[i] = static_cast<float>(
-                quantize_uniform(x[i], x_max, conv.dac_levels));
-          }
-        } else {
-          std::copy(x, x + in_dim, q);
-        }
-      }
-    }
-    if (conv.dac_levels > 0) input = &dac_quantized;
-  }
-
-  ThreadPool& tp = pool();
-  // Row blocking only partitions work — per-row arithmetic is partition-
-  // independent — so the block size may track the pool size freely without
-  // affecting results.
-  const std::size_t block = std::clamp<std::size_t>(
-      (rows + tp.size() * 4 - 1) / (tp.size() * 4), 1, 64);
-  const std::size_t row_blocks = (rows + block - 1) / block;
-
-  tp.parallel_for(row_blocks * grid_cols, [&](std::size_t task) {
-    const std::size_t tc = task % grid_cols;
-    const std::size_t r0 = (task / grid_cols) * block;
-    const std::size_t r1 = std::min(r0 + block, rows);
-    const hw::GroupSlice col = plan.repacked
-                                   ? hw::tile_slice(plan.grid, 0, tc)
-                                   : plan.tiles[tc].slice;
-    const std::size_t width = col.col_end - col.col_begin;
-    std::vector<double> acc(width);
-    std::vector<double> partial(width);
-
-    if (plan.repacked) {
-      // Repacked lowering: per kept tile, gather the live activation
-      // elements into the small array, run its MVM + ADC, and scatter the
-      // results onto the output slice. column_tiles is ascending tile-row
-      // order, so every output element receives its surviving partial sums
-      // in exactly the padded order — dropping a dead row removes an
-      // exact ±0.0 term and a dead column an exact ADC(0)=0 term, which is
-      // why the exactness gate makes this bitwise identical to the padded
-      // path (and identical at any pool size, like the padded loop).
-      std::vector<float> gathered;
-      for (std::size_t r = r0; r < r1; ++r) {
-        const float* x = input->data() + r * in_dim;
-        const double x_max = need_scale ? row_scale[r] : 0.0;
-        std::fill(acc.begin(), acc.end(), 0.0);
-        for (const std::uint32_t ti : plan.column_tiles[tc]) {
-          const ProgramTile& tile = plan.tiles[ti];
-          const std::size_t live_rows = tile.in_gather.size();
-          const std::size_t live_cols = tile.out_scatter.size();
-          gathered.resize(live_rows);
-          for (std::size_t i = 0; i < live_rows; ++i) {
-            gathered[i] = x[tile.in_gather[i]];
-          }
-          partial.assign(live_cols, 0.0);
-          tile.xbar.accumulate_matvec(gathered.data(), partial.data());
-          if (conv.adc_levels > 0 && x_max > 0.0) {
-            // ADC full scale stays the PADDED tile geometry (P inputs at
-            // x_max through w_max): the library converter design does not
-            // shrink with the array, and keeping it fixed preserves bitwise
-            // parity with the padded execution.
-            const double full_scale = x_max * adc_gain;
-            for (std::size_t j = 0; j < live_cols; ++j) {
-              partial[j] =
-                  quantize_uniform(partial[j], full_scale, conv.adc_levels);
-            }
-          }
-          for (std::size_t j = 0; j < live_cols; ++j) {
-            acc[tile.out_scatter[j] - col.col_begin] += partial[j];
-          }
-        }
-        float* dst = out.data() + r * out_dim + col.col_begin;
-        for (std::size_t j = 0; j < width; ++j) {
-          dst[j] = static_cast<float>(acc[j]);
-        }
-      }
-      return;
-    }
-
-    for (std::size_t r = r0; r < r1; ++r) {
-      const float* x = input->data() + r * in_dim;
-      const double x_max = need_scale ? row_scale[r] : 0.0;
-      std::fill(acc.begin(), acc.end(), 0.0);
-      for (std::size_t tr = 0; tr < grid_rows; ++tr) {
-        const ProgramTile& tile = plan.tiles[tr * grid_cols + tc];
-        // Compile-proved zero contribution (empty tile after group deletion):
-        // adding it would add exact zeros, so eliding the MVM and ADC leaves
-        // the remaining fixed-order partial sums bitwise unchanged.
-        if (tile.skip) continue;
-        std::fill(partial.begin(), partial.end(), 0.0);
-        tile.xbar.accumulate_matvec(x + tile.slice.row_begin, partial.data());
-        if (conv.adc_levels > 0 && x_max > 0.0) {
-          const double full_scale = x_max * adc_gain;
-          for (std::size_t j = 0; j < width; ++j) {
-            partial[j] =
-                quantize_uniform(partial[j], full_scale, conv.adc_levels);
-          }
-        }
-        // Digital partial-sum accumulation, fixed tile-row order.
-        for (std::size_t j = 0; j < width; ++j) acc[j] += partial[j];
-      }
-      float* dst = out.data() + r * out_dim + col.col_begin;
-      for (std::size_t j = 0; j < width; ++j) {
-        dst[j] = static_cast<float>(acc[j]);
-      }
-    }
-  });
-}
-
-Tensor Executor::run_linear(const Step& step, const Tensor& act,
-                            const ForwardTrace& trace) const {
-  const Tensor* cur = &act;
-  Tensor reshaped;
-  if (act.rank() != 2) {
-    reshaped = act;
-    reshaped.reshape(Shape{act.dim(0), shape_numel(step.in_shape)});
-    cur = &reshaped;
-  }
-  Tensor out;
-  for (const MatrixPlan& plan : step.stages) {
-    const std::uint64_t span = begin_stage_span(trace, plan, cur->rows());
-    Tensor next(Shape{cur->rows(), plan.grid.cols});
-    apply_plan(plan, *cur, next);
-    if (span != 0) trace.trace->end_span(span);
-    out = std::move(next);
-    cur = &out;
-  }
-  if (step.bias.numel() > 0) add_row_vector(out, step.bias);
-  return out;
-}
-
-Tensor Executor::run_conv(const Step& step, const Tensor& act,
-                          const ForwardTrace& trace) const {
-  GS_CHECK_MSG(act.rank() == 4, step.name << ": conv input must be B×C×H×W");
-  const ConvGeometry& g = step.geometry;
+Tensor Executor::run_crossbar(const Step& step, const Tensor& act,
+                              const ForwardTrace& trace) const {
   const std::size_t batch = act.dim(0);
-  const std::size_t oh = g.out_height();
-  const std::size_t ow = g.out_width();
-  const std::size_t patches = oh * ow;
-  const std::size_t patch = g.patch_size();
-  const std::size_t sample = shape_numel(step.in_shape);
-
-  // Whole-batch im2col: each sample owns a disjoint row range of `cols`.
-  Tensor cols(Shape{batch * patches, patch});
-  pool().parallel_for(batch, [&](std::size_t b) {
-    Tensor image(step.in_shape);
-    std::copy(act.data() + b * sample, act.data() + (b + 1) * sample,
-              image.data());
-    const Tensor c = im2col(image, g);
-    std::copy(c.data(), c.data() + patches * patch,
-              cols.data() + b * patches * patch);
-  });
-
-  Tensor cur = std::move(cols);
-  for (const MatrixPlan& plan : step.stages) {
-    const std::uint64_t span = begin_stage_span(trace, plan, cur.rows());
-    Tensor next(Shape{cur.rows(), plan.grid.cols});
-    apply_plan(plan, cur, next);
-    if (span != 0) trace.trace->end_span(span);
-    cur = std::move(next);
+  GS_CHECK(act.numel() == batch * shape_numel(step.in_shape));
+  GS_CHECK(!step.stages.empty() &&
+           step.stages.back().grid.cols == step.out_shape[0]);
+  StageInput in{act.data(), nullptr};
+  std::size_t rows = batch;  // input vectors per stage
+  std::size_t patches = 0;   // conv: output positions per sample
+  if (step.kind == Step::Kind::kConv) {
+    GS_CHECK_MSG(act.rank() == 4,
+                 step.name << ": conv input must be B×C×H×W");
+    const ConvGeometry& g = step.geometry;
+    GS_CHECK(g.out_height() == step.out_shape[1] &&
+             g.out_width() == step.out_shape[2]);
+    patches = g.out_height() * g.out_width();
+    rows = batch * patches;
+    in.conv = &g;
   }
-  const std::size_t filters = step.out_shape[0];
-  GS_CHECK(cur.cols() == filters && oh == step.out_shape[1] &&
-           ow == step.out_shape[2]);
-  if (step.bias.numel() > 0) add_row_vector(cur, step.bias);
+  GS_CHECK(step.stages.front().grid.rows ==
+           (in.conv != nullptr ? in.conv->patch_size()
+                               : shape_numel(step.in_shape)));
 
-  // Re-tile (B·oh·ow, F) patch-major results into channel-major B×F×oh×ow.
-  Tensor out(Shape{batch, filters, oh, ow});
-  pool().parallel_for(batch, [&](std::size_t b) {
-    const float* src = cur.data() + b * patches * filters;
-    float* dst = out.data() + b * filters * patches;
-    for (std::size_t p = 0; p < patches; ++p) {
-      for (std::size_t c = 0; c < filters; ++c) {
-        dst[c * patches + p] = src[p * filters + c];
-      }
+  Shape out_shape{batch};
+  out_shape.insert(out_shape.end(), step.out_shape.begin(),
+                   step.out_shape.end());
+  Tensor out(out_shape);
+  Tensor mid;  // a low-rank step's U-stage output, the V stage's input
+  const DacAdcParams& conv = program_->options().converters;
+  const float* bias = step.bias.numel() > 0 ? step.bias.data() : nullptr;
+  for (std::size_t s = 0; s < step.stages.size(); ++s) {
+    const MatrixPlan& plan = step.stages[s];
+    const bool last = s + 1 == step.stages.size();
+    GS_CHECK(s == 0 || plan.grid.rows == step.stages[s - 1].grid.cols);
+    Tensor next;
+    if (!last) next = Tensor(Shape{rows, plan.grid.cols});
+    const StageOutput dst = last ? StageOutput{out.data(), bias, patches}
+                                 : StageOutput{next.data(), nullptr, 0};
+    const std::uint64_t span = begin_stage_span(trace, plan, rows);
+    apply_plan(pool(), plan, conv, rows, in, dst);
+    if (span != 0) trace.trace->end_span(span);
+    if (!last) {
+      mid = std::move(next);
+      in = StageInput{mid.data(), nullptr};
     }
-  });
+  }
   return out;
 }
 
@@ -358,10 +459,8 @@ Tensor Executor::forward(const Tensor& batch, const ForwardTrace& trace) const {
     }
     switch (step.kind) {
       case Step::Kind::kLinear:
-        x = run_linear(step, x, step_trace);
-        break;
       case Step::Kind::kConv:
-        x = run_conv(step, x, step_trace);
+        x = run_crossbar(step, x, step_trace);
         break;
       case Step::Kind::kRelu: {
         float* data = x.data();

@@ -5,14 +5,20 @@
 // the serving engine (runtime/server.hpp) relies on this.
 //
 // Parallelism & determinism: every crossbar stage is dispatched on the
-// gs::ThreadPool as independent (input-row block × tile column) tasks — the
-// PR 1/PR 2 one-task-per-disjoint-output-region pattern. Within a task each
-// input row is processed alone: DAC-quantise the row, run every tile of the
-// column top to bottom (per-tile double-precision MVM, then ADC), and add
-// the per-tile partial sums in ascending tile-row order. Per-output-element
-// arithmetic is therefore a pure function of the row and the tile schedule,
-// independent of both the thread count and the row blocking — results are
-// bitwise identical for any GS_NUM_THREADS.
+// gs::ThreadPool as independent input-row-block tasks — one task per
+// disjoint output region, as in the GEMM kernel — and each task walks its
+// rows in panels of hw::AnalogCrossbar::kPanelRows input vectors. A
+// panel's converter front end runs once (per-vector full scale and DAC;
+// a conv step's first stage gathers its im2col patch rows straight from
+// the image), then one tile loop serves padded and repacked plans: per
+// tile column, each tile in ascending tile row runs the row-panel MVM
+// (AnalogCrossbar::matvec_panel — each weight loaded once per panel), its
+// ADC, and the add into the column's partial sums. Every output keeps the
+// per-row arithmetic — MVM from +0.0 in ascending weight-row order, ADC
+// per tile, add in ascending tile-row order — so it is a pure function of
+// its own input vector and the tile schedule, independent of the thread
+// count, the blocking and the batch mates: results are bitwise identical
+// for any GS_NUM_THREADS and any batch composition.
 //
 // Tile skipping: tiles the compiler marked `skip` (provably-zero
 // contribution — the empty crossbars group connection deletion leaves
@@ -92,14 +98,12 @@ class Executor {
   const CrossbarProgram& program() const { return *program_; }
 
  private:
-  /// One crossbar stage: out (R × plan cols) = act (R × plan rows) through
-  /// the programmed tiles with DAC/ADC at the stage boundary.
-  void apply_plan(const MatrixPlan& plan, const Tensor& act,
-                  Tensor& out) const;
-  Tensor run_linear(const Step& step, const Tensor& act,
-                    const ForwardTrace& trace) const;
-  Tensor run_conv(const Step& step, const Tensor& act,
-                  const ForwardTrace& trace) const;
+  /// A dense, low-rank or conv step: its crossbar stages in order, each one
+  /// pass over the batch (a conv step streams im2col patch rows into its
+  /// first stage and writes channel-major output from its last), with the
+  /// bias added as the last stage writes.
+  Tensor run_crossbar(const Step& step, const Tensor& act,
+                      const ForwardTrace& trace) const;
   Tensor run_pool(const Step& step, const Tensor& act) const;
 
   const CrossbarProgram* program_;

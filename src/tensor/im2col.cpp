@@ -26,6 +26,30 @@ void ConvGeometry::validate() const {
   (void)out_width();
 }
 
+void im2col_patch(const float* image, const ConvGeometry& g, std::size_t oy,
+                  std::size_t ox, float* row) {
+  std::size_t idx = 0;
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    const float* chan = image + c * g.in_height * g.in_width;
+    for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
+      // Signed arithmetic for padding underflow.
+      const long long iy = static_cast<long long>(oy * g.stride_h + ky) -
+                           static_cast<long long>(g.pad_h);
+      for (std::size_t kx = 0; kx < g.kernel_w; ++kx, ++idx) {
+        const long long ix = static_cast<long long>(ox * g.stride_w + kx) -
+                             static_cast<long long>(g.pad_w);
+        if (iy < 0 || iy >= static_cast<long long>(g.in_height) || ix < 0 ||
+            ix >= static_cast<long long>(g.in_width)) {
+          row[idx] = 0.0f;
+        } else {
+          row[idx] = chan[static_cast<std::size_t>(iy) * g.in_width +
+                          static_cast<std::size_t>(ix)];
+        }
+      }
+    }
+  }
+}
+
 Tensor im2col(const Tensor& image, const ConvGeometry& g) {
   g.validate();
   GS_CHECK_MSG(image.rank() == 3 && image.dim(0) == g.in_channels &&
@@ -35,34 +59,9 @@ Tensor im2col(const Tensor& image, const ConvGeometry& g) {
   const std::size_t ow = g.out_width();
   const std::size_t ps = g.patch_size();
   Tensor cols(Shape{oh * ow, ps});
-
-  const float* src = image.data();
-  float* dst = cols.data();
   for (std::size_t oy = 0; oy < oh; ++oy) {
     for (std::size_t ox = 0; ox < ow; ++ox) {
-      float* row = dst + (oy * ow + ox) * ps;
-      std::size_t idx = 0;
-      for (std::size_t c = 0; c < g.in_channels; ++c) {
-        const float* chan = src + c * g.in_height * g.in_width;
-        for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
-          // Signed arithmetic for padding underflow.
-          const long long iy =
-              static_cast<long long>(oy * g.stride_h + ky) -
-              static_cast<long long>(g.pad_h);
-          for (std::size_t kx = 0; kx < g.kernel_w; ++kx, ++idx) {
-            const long long ix =
-                static_cast<long long>(ox * g.stride_w + kx) -
-                static_cast<long long>(g.pad_w);
-            if (iy < 0 || iy >= static_cast<long long>(g.in_height) ||
-                ix < 0 || ix >= static_cast<long long>(g.in_width)) {
-              row[idx] = 0.0f;
-            } else {
-              row[idx] = chan[static_cast<std::size_t>(iy) * g.in_width +
-                              static_cast<std::size_t>(ix)];
-            }
-          }
-        }
-      }
+      im2col_patch(image.data(), g, oy, ox, cols.data() + (oy * ow + ox) * ps);
     }
   }
   return cols;

@@ -36,6 +36,13 @@ struct ConvGeometry {
 /// position p in channel-major order. Zero padding is applied.
 Tensor im2col(const Tensor& image, const ConvGeometry& g);
 
+/// One row of im2col: writes the receptive field of output position
+/// (oy, ox) of the C×H×W image at `image` into `row` (patch_size() floats,
+/// channel-major, zero padding). Lets a caller stream patch rows without
+/// materialising the whole patch matrix.
+void im2col_patch(const float* image, const ConvGeometry& g, std::size_t oy,
+                  std::size_t ox, float* row);
+
 /// Adjoint of im2col: accumulates a patch-matrix gradient back into an
 /// image-shaped gradient (C×H×W). Exactly the transpose of the linear
 /// im2col map, which property tests verify via <im2col(x), y> = <x, col2im(y)>.

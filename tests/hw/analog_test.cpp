@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -151,6 +155,76 @@ TEST(AnalogCrossbar, MatvecMatchesEffectiveWeights) {
     }
     EXPECT_NEAR(y[j], acc, 1e-4);
   }
+}
+
+// Differential test of the executor's row-panel kernel against the scalar
+// GEMV it replaced: every output of matvec_panel must equal, bit for bit,
+// what accumulate_matvec leaves in a +0.0-filled accumulator — across tile
+// shapes that hit every column block and tail, vector counts that fill,
+// underfill and straddle panels, and inputs with exact zeros, −0.0 and
+// mixed signs.
+TEST(AnalogCrossbar, MatvecPanelBitwiseMatchesAccumulateMatvec) {
+  constexpr std::size_t kR = AnalogCrossbar::kPanelRows;
+  const std::size_t heights[] = {1,  2,  3,  4,  5,  7,  8,  9, 12,
+                                 16, 24, 25, 31, 33, 50, 63, 64};
+  std::vector<std::size_t> widths;
+  for (std::size_t q = 1; q <= 18; ++q) widths.push_back(q);
+  for (std::size_t q : {20, 23, 24, 25, 31, 32, 33, 47, 50, 63, 64}) {
+    widths.push_back(q);
+  }
+  AnalogParams params = ideal_params();
+  params.levels = 16;  // effective weights with exact zeros and repeats
+  Rng rng(21);
+  for (const std::size_t p : heights) {
+    for (const std::size_t q : widths) {
+      const Tensor w = random_weights(p, q, 1000 * p + q);
+      const AnalogCrossbar xbar(w, 0.8, params, rng);
+      const std::size_t ldy = q + 3;  // a row stride wider than the tile
+      for (std::size_t rows = 1; rows <= 2 * kR + 1; ++rows) {
+        std::vector<float> x(rows * p);
+        for (float& v : x) {
+          const double u = rng.uniform(0.0, 1.0);
+          v = u < 0.2   ? 0.0f
+              : u < 0.3 ? -0.0f
+                        : static_cast<float>(rng.gaussian(0.0, 1.0));
+        }
+        std::vector<double> y(rows * ldy, -1.0);
+        std::vector<double> panel(p * kR);
+        for (std::size_t r0 = 0; r0 < rows; r0 += kR) {
+          const std::size_t n = std::min(kR, rows - r0);
+          // Lanes past n hold NaN: reading one would poison an output.
+          std::fill(panel.begin(), panel.end(),
+                    std::numeric_limits<double>::quiet_NaN());
+          for (std::size_t r = 0; r < n; ++r) {
+            for (std::size_t i = 0; i < p; ++i) {
+              panel[i * kR + r] = x[(r0 + r) * p + i];
+            }
+          }
+          xbar.matvec_panel(panel.data(), n, y.data() + r0 * ldy, ldy);
+        }
+        for (std::size_t r = 0; r < rows; ++r) {
+          std::vector<double> oracle(q, 0.0);
+          xbar.accumulate_matvec(x.data() + r * p, oracle.data());
+          ASSERT_EQ(std::memcmp(oracle.data(), y.data() + r * ldy,
+                                q * sizeof(double)),
+                    0)
+              << p << "x" << q << " tile, " << rows << " vectors, row " << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(AnalogCrossbar, MatvecPanelRejectsBadVectorCounts) {
+  Rng rng(22);
+  const AnalogCrossbar xbar(random_weights(3, 2, 23), 1.0, ideal_params(),
+                            rng);
+  std::vector<double> panel(3 * AnalogCrossbar::kPanelRows, 1.0);
+  std::vector<double> y(2 * (AnalogCrossbar::kPanelRows + 1));
+  EXPECT_THROW(xbar.matvec_panel(panel.data(), 0, y.data(), 2), Error);
+  EXPECT_THROW(xbar.matvec_panel(panel.data(), AnalogCrossbar::kPanelRows + 1,
+                                 y.data(), 2),
+               Error);
 }
 
 TEST(AnalogEffectiveMatrix, TiledMatchesShapeAndIdealCase) {

@@ -11,6 +11,8 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "core/models.hpp"
@@ -76,24 +78,28 @@ TEST(ExecutorParityTest, LowRankDenseLayer) {
 }
 
 TEST(ExecutorParityTest, ConvLayer) {
-  Rng rng(3);
-  nn::Network net;
-  net.add(std::make_unique<nn::Conv2dLayer>(
-      "conv", nn::Conv2dSpec{3, 12, 5, 1, 2}, rng));
-  for (const auto policy :
-       {hw::MappingPolicy::kDivisorExact, hw::MappingPolicy::kPaddedMax}) {
-    expect_parity(net, Shape{3, 14, 14}, 3, 1e-4f, policy, "conv");
+  for (const std::size_t stride : {1, 2}) {
+    Rng rng(3);
+    nn::Network net;
+    net.add(std::make_unique<nn::Conv2dLayer>(
+        "conv", nn::Conv2dSpec{3, 12, 5, stride, 2}, rng));
+    for (const auto policy :
+         {hw::MappingPolicy::kDivisorExact, hw::MappingPolicy::kPaddedMax}) {
+      expect_parity(net, Shape{3, 14, 14}, 3, 1e-4f, policy, "conv");
+    }
   }
 }
 
 TEST(ExecutorParityTest, LowRankConvLayer) {
-  Rng rng(4);
-  nn::Network net;
-  net.add(std::make_unique<nn::LowRankConv2d>(
-      "conv", nn::LowRankConv2d::Spec{3, 12, 5, 1, 2}, 9, rng));
-  for (const auto policy :
-       {hw::MappingPolicy::kDivisorExact, hw::MappingPolicy::kPaddedMax}) {
-    expect_parity(net, Shape{3, 14, 14}, 3, 1e-4f, policy, "lowrank conv");
+  for (const std::size_t stride : {1, 2}) {
+    Rng rng(4);
+    nn::Network net;
+    net.add(std::make_unique<nn::LowRankConv2d>(
+        "conv", nn::LowRankConv2d::Spec{3, 12, 5, stride, 2}, 9, rng));
+    for (const auto policy :
+         {hw::MappingPolicy::kDivisorExact, hw::MappingPolicy::kPaddedMax}) {
+      expect_parity(net, Shape{3, 14, 14}, 3, 1e-4f, policy, "lowrank conv");
+    }
   }
 }
 
@@ -169,28 +175,61 @@ TEST(ExecutorDeterminismTest, BitwiseIdenticalAcrossPoolSizes) {
 
 TEST(ExecutorDeterminismTest, BatchCompositionInvariant) {
   // Per-input-vector DAC scaling means a sample's logits cannot depend on
-  // its batch mates — the property the batching server relies on.
+  // its batch mates — the property the batching server relies on. Batch
+  // sizes straddle the executor's row panels (1, R−1, R, R+1, 2R+1, 33),
+  // on padded and repacked programs, with and without converters.
   Rng rng(10);
   nn::Network net = core::build_lenet(rng);
-  CompileOptions options;
-  options.converters.dac_levels = 255;
-  options.converters.adc_levels = 1023;
-  const CrossbarProgram program = compile(net, Shape{1, 28, 28}, options);
-  const Executor executor(program);
-
-  const Tensor batch = random_batch(Shape{1, 28, 28}, 4, 123);
-  const Tensor batched = executor.forward(batch);
-
+  // Deleted row and column bands, so repacked tiles gather and scatter.
+  for (const char* name : {"conv2", "fc1"}) {
+    Tensor& w = (std::string(name) == "conv2")
+                    ? dynamic_cast<nn::Conv2dLayer*>(net.find(name))->weight()
+                    : dynamic_cast<nn::DenseLayer*>(net.find(name))->weight();
+    for (std::size_t i = 0; i < w.rows(); ++i) {
+      for (std::size_t j = 0; j < w.cols(); ++j) {
+        if (i % 7 == 3 || j % 5 == 1) w.at(i, j) = 0.0f;
+      }
+    }
+  }
+  constexpr std::size_t kR = hw::AnalogCrossbar::kPanelRows;
   const std::size_t sample_numel = 28 * 28;
-  for (std::size_t b = 0; b < 4; ++b) {
-    Tensor single(Shape{1, 1, 28, 28});
-    std::copy(batch.data() + b * sample_numel,
-              batch.data() + (b + 1) * sample_numel, single.data());
-    const Tensor logits = executor.forward(single);
-    EXPECT_EQ(std::memcmp(logits.data(), batched.data() + b * logits.numel(),
-                          logits.numel() * sizeof(float)),
-              0)
-        << "sample " << b;
+  const Tensor batch = random_batch(Shape{1, 28, 28}, 33, 123);
+
+  for (const bool repack : {false, true}) {
+    for (const bool converters : {false, true}) {
+      CompileOptions options;
+      options.repack = repack;
+      if (converters) {
+        options.converters.dac_levels = 255;
+        options.converters.adc_levels = 1023;
+      }
+      const CrossbarProgram program = compile(net, Shape{1, 28, 28}, options);
+      ASSERT_EQ(program.repacked(), repack);
+      const Executor executor(program);
+
+      std::vector<Tensor> alone;
+      for (std::size_t b = 0; b < 33; ++b) {
+        Tensor single(Shape{1, 1, 28, 28});
+        std::copy(batch.data() + b * sample_numel,
+                  batch.data() + (b + 1) * sample_numel, single.data());
+        alone.push_back(executor.forward(single));
+      }
+      for (const std::size_t rows : {std::size_t{1}, kR - 1, kR, kR + 1,
+                                     2 * kR + 1, std::size_t{33}}) {
+        Tensor input(Shape{rows, 1, 28, 28});
+        std::copy(batch.data(), batch.data() + input.numel(), input.data());
+        const Tensor batched = executor.forward(input);
+        for (std::size_t b = 0; b < rows; ++b) {
+          EXPECT_EQ(std::memcmp(alone[b].data(),
+                                batched.data() + b * alone[b].numel(),
+                                alone[b].numel() * sizeof(float)),
+                    0)
+              << (repack ? "repacked" : "padded")
+              << (converters ? " with converters" : " ideal") << ", batch "
+              << rows << ", sample " << b;
+        }
+      }
+    }
   }
 }
 

@@ -14,7 +14,12 @@
 //     bitwise; on a blocked device (even ADC, variation) it falls back to
 //     a checksum-identical padded compile; and fault injection on a
 //     repacked program can never invalidate a skip proof (there are none)
-//     nor touch a removed crossbar.
+//     nor touch a removed crossbar;
+//  4. scalar-reference differential: every crossbar step, compiled alone,
+//     reproduces bitwise a test-only scalar reference of the executor's
+//     per-row loop (accumulate_matvec, ADC, fixed tile-row add) — padded
+//     and repacked, ideal and quantised, before and after inject_faults.
+// Contract 2 runs at batch sizes that straddle the executor's row panels.
 // This replaces hand-picked shapes with a generator: every seed is its own
 // ctest case, so a failure names the stack that broke.
 #include <gtest/gtest.h>
@@ -24,6 +29,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "nn/activations.hpp"
@@ -33,6 +39,8 @@
 #include "nn/lowrank.hpp"
 #include "nn/pool2d.hpp"
 #include "runtime/executor.hpp"
+#include "tensor/im2col.hpp"
+#include "tensor/matrix.hpp"
 
 namespace gs::runtime {
 namespace {
@@ -185,6 +193,184 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
          std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
 }
 
+/// The first `rows` samples of `batch`.
+Tensor first_rows(const Tensor& batch, std::size_t rows) {
+  Shape shape = batch.shape();
+  shape[0] = rows;
+  Tensor out(shape);
+  std::copy(batch.data(), batch.data() + out.numel(), out.data());
+  return out;
+}
+
+/// Batch sizes that straddle the executor's row panels: 1, R−1, R, R+1,
+/// 2R+1 and 33 for R = AnalogCrossbar::kPanelRows.
+std::vector<std::size_t> panel_edge_batches() {
+  constexpr std::size_t kR = hw::AnalogCrossbar::kPanelRows;
+  return {1, kR - 1, kR, kR + 1, 2 * kR + 1, 33};
+}
+
+/// Pool-size and batch-composition invariance across the panel edges: for
+/// every panel-edge size B, the first B samples of `batch` (which holds at
+/// least 33) run on pools of 1 and 3 threads, and each output row must
+/// equal bitwise the logits of that sample run alone.
+void expect_batch_invariant(const CrossbarProgram& program,
+                            const Tensor& batch, const std::string& label) {
+  ThreadPool pool1(1);
+  ThreadPool pool3(3);
+  const Executor exec1(program, &pool1);
+  const Executor exec3(program, &pool3);
+  std::vector<Tensor> alone;
+  for (std::size_t b = 0; b < batch.dim(0); ++b) {
+    Shape shape = batch.shape();
+    shape[0] = 1;
+    Tensor single(shape);
+    std::copy(batch.data() + b * single.numel(),
+              batch.data() + (b + 1) * single.numel(), single.data());
+    alone.push_back(exec1.forward(single));
+  }
+  for (const std::size_t rows : panel_edge_batches()) {
+    const Tensor input = first_rows(batch, rows);
+    const Tensor out1 = exec1.forward(input);
+    EXPECT_TRUE(bitwise_equal(out1, exec3.forward(input)))
+        << label << ": pool-size invariance broke at batch " << rows;
+    for (std::size_t b = 0; b < rows; ++b) {
+      const std::size_t n = alone[b].numel();
+      EXPECT_EQ(std::memcmp(alone[b].data(), out1.data() + b * n,
+                            n * sizeof(float)),
+                0)
+          << label << ": batch-composition invariance broke at batch "
+          << rows << ", sample " << b;
+    }
+  }
+}
+
+/// Test-only scalar reference of one crossbar stage, the executor's loop
+/// before its row-panel kernel: per input vector, DAC to the vector's own
+/// full scale; per tile column, the column's tiles in ascending tile row
+/// (padded: skip-marked ones left out; repacked: column_tiles), each
+/// gathered, run through accumulate_matvec from +0.0, ADC'd against the
+/// padded tile geometry, and added into the column's sums.
+Tensor reference_stage(const MatrixPlan& plan, const DacAdcParams& conv,
+                       const Tensor& act) {
+  const std::size_t in_dim = plan.grid.rows;
+  const std::size_t out_dim = plan.grid.cols;
+  const std::size_t grid_cols = plan.grid.grid_cols();
+  const double adc_gain =
+      plan.w_max * static_cast<double>(plan.grid.tile.rows);
+  Tensor out(Shape{act.rows(), out_dim});
+  std::vector<float> x(in_dim);
+  for (std::size_t r = 0; r < act.rows(); ++r) {
+    const float* row = act.data() + r * in_dim;
+    double x_max = 0.0;
+    if (conv.dac_levels > 0 || conv.adc_levels > 0) {
+      for (std::size_t i = 0; i < in_dim; ++i) {
+        x_max = std::max(x_max, static_cast<double>(std::fabs(row[i])));
+      }
+    }
+    for (std::size_t i = 0; i < in_dim; ++i) {
+      x[i] = conv.dac_levels > 0 && x_max > 0.0
+                 ? static_cast<float>(
+                       quantize_uniform(row[i], x_max, conv.dac_levels))
+                 : row[i];
+    }
+    for (std::size_t tc = 0; tc < grid_cols; ++tc) {
+      const hw::GroupSlice col = hw::tile_slice(plan.grid, 0, tc);
+      std::vector<double> acc(col.col_end - col.col_begin, 0.0);
+      std::vector<std::uint32_t> schedule = plan.repacked
+                                                ? plan.column_tiles[tc]
+                                                : std::vector<std::uint32_t>{};
+      if (!plan.repacked) {
+        for (std::size_t tr = 0; tr < plan.grid.grid_rows(); ++tr) {
+          schedule.push_back(static_cast<std::uint32_t>(tr * grid_cols + tc));
+        }
+      }
+      for (const std::uint32_t t : schedule) {
+        const ProgramTile& tile = plan.tiles[t];
+        if (tile.skip) continue;
+        std::vector<float> gathered(x.begin() + tile.slice.row_begin,
+                                    x.begin() + tile.slice.row_end);
+        if (plan.repacked) {
+          gathered.clear();
+          for (const std::uint32_t i : tile.in_gather) gathered.push_back(x[i]);
+        }
+        std::vector<double> partial(tile.xbar.cols(), 0.0);
+        tile.xbar.accumulate_matvec(gathered.data(), partial.data());
+        for (std::size_t j = 0; j < partial.size(); ++j) {
+          if (conv.adc_levels > 0 && x_max > 0.0) {
+            partial[j] =
+                quantize_uniform(partial[j], x_max * adc_gain, conv.adc_levels);
+          }
+          const std::size_t c =
+              plan.repacked ? tile.out_scatter[j] : col.col_begin + j;
+          acc[c - col.col_begin] += partial[j];
+        }
+      }
+      for (std::size_t j = 0; j < acc.size(); ++j) {
+        out.at(r, col.col_begin + j) = static_cast<float>(acc[j]);
+      }
+    }
+  }
+  return out;
+}
+
+/// Scalar reference of a whole crossbar step: whole-batch im2col for conv
+/// steps, the stages in order, the bias, and the re-tile to channel-major.
+Tensor reference_step(const Step& step, const DacAdcParams& conv,
+                      const Tensor& batch) {
+  const std::size_t samples = batch.dim(0);
+  const std::size_t sample_numel = shape_numel(step.in_shape);
+  Tensor act(Shape{samples, sample_numel});
+  std::copy(batch.data(), batch.data() + batch.numel(), act.data());
+  const std::size_t patches =
+      step.kind == Step::Kind::kConv
+          ? step.geometry.out_height() * step.geometry.out_width()
+          : 1;
+  if (step.kind == Step::Kind::kConv) {
+    act = Tensor(Shape{samples * patches, step.geometry.patch_size()});
+    for (std::size_t b = 0; b < samples; ++b) {
+      Tensor image(step.in_shape);
+      std::copy(batch.data() + b * sample_numel,
+                batch.data() + (b + 1) * sample_numel, image.data());
+      const Tensor cols = im2col(image, step.geometry);
+      std::copy(cols.data(), cols.data() + cols.numel(),
+                act.data() + b * cols.numel());
+    }
+  }
+  for (const MatrixPlan& plan : step.stages) {
+    act = reference_stage(plan, conv, act);
+  }
+  if (step.bias.numel() > 0) add_row_vector(act, step.bias);
+  Shape shape{samples};
+  shape.insert(shape.end(), step.out_shape.begin(), step.out_shape.end());
+  Tensor out(shape);
+  const std::size_t filters = act.cols();
+  for (std::size_t b = 0; b < samples; ++b) {
+    for (std::size_t p = 0; p < patches; ++p) {
+      for (std::size_t c = 0; c < filters; ++c) {
+        out[(b * filters + c) * patches + p] =
+            act.at(b * patches + p, c);
+      }
+    }
+  }
+  return out;
+}
+
+/// A one-layer network holding a copy of `layer` when it lowers to
+/// crossbar stages (dense, low-rank, conv, low-rank conv); empty otherwise.
+nn::Network crossbar_layer_alone(const nn::Layer& layer) {
+  nn::Network net;
+  if (const auto* d = dynamic_cast<const nn::DenseLayer*>(&layer)) {
+    net.add(std::make_unique<nn::DenseLayer>(*d));
+  } else if (const auto* lr = dynamic_cast<const nn::LowRankDense*>(&layer)) {
+    net.add(std::make_unique<nn::LowRankDense>(*lr));
+  } else if (const auto* c = dynamic_cast<const nn::Conv2dLayer*>(&layer)) {
+    net.add(std::make_unique<nn::Conv2dLayer>(*c));
+  } else if (const auto* lc = dynamic_cast<const nn::LowRankConv2d*>(&layer)) {
+    net.add(std::make_unique<nn::LowRankConv2d>(*lc));
+  }
+  return net;
+}
+
 class RuntimeProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RuntimeProperty, CompileExecuteContractsHold) {
@@ -200,7 +386,7 @@ TEST_P(RuntimeProperty, CompileExecuteContractsHold) {
   const CrossbarProgram ideal =
       compile(stack.net, stack.sample_shape, options);
   EXPECT_EQ(ideal.steps().size(), stack.net.layer_count());
-  const Tensor batch = random_batch(stack.sample_shape, 3, seed + 101);
+  const Tensor batch = random_batch(stack.sample_shape, 33, seed + 101);
   const Executor ideal_exec(ideal);
   const Tensor digital = stack.net.forward(batch, /*train=*/false);
   const Tensor analog = ideal_exec.forward(batch);
@@ -215,7 +401,10 @@ TEST_P(RuntimeProperty, CompileExecuteContractsHold) {
       << "ideal-device parity broke at seed " << seed;
 
   // --- Contract 2: bitwise pool-size invariance and batch-composition
-  // invariance, on a randomly nonideal device (odd AND even ADC counts). --
+  // invariance at the panel edges, on the ideal device and on a randomly
+  // nonideal one (odd AND even ADC counts), padded and repacked. ---------
+  expect_batch_invariant(ideal, batch,
+                         "ideal device, seed " + std::to_string(seed));
   CompileOptions nonideal = options;
   nonideal.analog.levels = 8 + rng.uniform_index(120);
   nonideal.analog.variation_sigma = rng.bernoulli(0.5) ? 0.05 : 0.0;
@@ -227,28 +416,9 @@ TEST_P(RuntimeProperty, CompileExecuteContractsHold) {
   const CrossbarProgram device =
       compile(stack.net, stack.sample_shape, nonideal);
 
-  ThreadPool pool1(1);
-  ThreadPool pool3(3);
-  Executor exec1(device, &pool1);
-  Executor exec3(device, &pool3);
-  const Tensor out1 = exec1.forward(batch);
-  const Tensor out3 = exec3.forward(batch);
-  EXPECT_TRUE(bitwise_equal(out1, out3))
-      << "pool-size invariance broke at seed " << seed;
-
-  // A sample's logits may not depend on its batch mates: row 0 run alone
-  // must reproduce row 0 of the batch bitwise.
-  Shape single_shape;
-  single_shape.push_back(1);
-  single_shape.insert(single_shape.end(), stack.sample_shape.begin(),
-                      stack.sample_shape.end());
-  Tensor single(single_shape);
-  std::copy(batch.data(), batch.data() + single.numel(), single.data());
-  const Tensor alone = exec1.forward(single);
-  EXPECT_EQ(std::memcmp(alone.data(), out1.data(),
-                        alone.numel() * sizeof(float)),
-            0)
-      << "batch-composition invariance broke at seed " << seed;
+  expect_batch_invariant(device, batch,
+                         "nonideal device, seed " + std::to_string(seed));
+  const Tensor out1 = Executor(device).forward(batch);
 
   // Tile-skip soundness whenever the generator emptied enough rows for the
   // compiler to prove skips: skipping on vs off must be bitwise identical.
@@ -277,6 +447,8 @@ TEST_P(RuntimeProperty, CompileExecuteContractsHold) {
   EXPECT_LE(repacked.programmed_cell_count(), repacked.padded_cell_count());
   EXPECT_TRUE(bitwise_equal(analog, Executor(repacked).forward(batch)))
       << "repack parity broke at seed " << seed;
+  expect_batch_invariant(repacked, batch,
+                         "repacked ideal device, seed " + std::to_string(seed));
 
   // Nonideal device: gate admits iff the same physics that admit a skip
   // proof hold (odd/ideal ADC zero-preservation, no variation — wire
@@ -294,6 +466,9 @@ TEST_P(RuntimeProperty, CompileExecuteContractsHold) {
     EXPECT_TRUE(
         bitwise_equal(out1, Executor(nonideal_repacked).forward(batch)))
         << "nonideal repack parity broke at seed " << seed;
+    expect_batch_invariant(
+        nonideal_repacked, batch,
+        "repacked nonideal device, seed " + std::to_string(seed));
   } else {
     EXPECT_EQ(program_checksum(nonideal_repacked), program_checksum(device))
         << "blocked repack did not fall back to the padded program at seed "
@@ -316,6 +491,66 @@ TEST_P(RuntimeProperty, CompileExecuteContractsHold) {
         << "fault injection unskipped a repacked tile at seed " << seed;
     EXPECT_EQ(report.tiles, repacked.tile_count());
   }
+}
+
+TEST_P(RuntimeProperty, StepsMatchScalarReference) {
+  // --- Contract 4: each crossbar layer of the stack, compiled alone, runs
+  // bitwise like the scalar reference of the per-row loop, on inputs with
+  // exact zeros, −0.0 and mixed signs. ----------------------------------
+  const std::uint64_t seed = GetParam();
+  RandomStack stack = build_stack(seed);
+  Rng rng(seed * 131 + 7);
+
+  CompileOptions ideal;
+  ideal.policy = (seed % 2 == 0) ? hw::MappingPolicy::kDivisorExact
+                                 : hw::MappingPolicy::kPaddedMax;
+  CompileOptions quantised = ideal;
+  quantised.analog.levels = 8 + rng.uniform_index(120);
+  quantised.analog.seed = seed + 29;
+  quantised.converters.dac_levels = 2 + rng.uniform_index(200);
+  quantised.converters.adc_levels = 3 + 2 * rng.uniform_index(100);  // odd
+  hw::FaultModelConfig faults;
+  faults.stuck_rate = 0.05;
+  faults.drift_nu = 0.05;
+  faults.drift_time = 10.0;
+  faults.seed = seed + 31;
+
+  Shape shape = stack.sample_shape;
+  std::size_t steps_checked = 0;
+  for (std::size_t l = 0; l < stack.net.layer_count(); ++l) {
+    const nn::Layer& layer = stack.net.layer(l);
+    const Shape in_shape = shape;
+    shape = layer.output_shape(shape);
+    nn::Network alone = crossbar_layer_alone(layer);
+    if (alone.layer_count() == 0) continue;
+    ++steps_checked;
+
+    Tensor batch = random_batch(
+        in_shape, 2 * hw::AnalogCrossbar::kPanelRows + 1, seed + 211 + l);
+    for (std::size_t i = 0; i < batch.numel(); i += 5) batch[i] = 0.0f;
+    for (std::size_t i = 2; i < batch.numel(); i += 7) batch[i] = -0.0f;
+
+    for (const bool repack : {false, true}) {
+      for (const CompileOptions* base : {&ideal, &quantised}) {
+        CompileOptions options = *base;
+        options.repack = repack;
+        CrossbarProgram program = compile(alone, in_shape, options);
+        for (const bool faulted : {false, true}) {
+          if (faulted) inject_faults(program, faults);
+          const std::string label =
+              layer.name() + (repack ? " repacked" : " padded") +
+              (base == &ideal ? " ideal" : " quantised") +
+              (faulted ? " faulted" : "") + ", seed " + std::to_string(seed);
+          ASSERT_EQ(program.steps().size(), 1u) << label;
+          const Tensor expected = reference_step(
+              program.steps()[0], options.converters, batch);
+          EXPECT_TRUE(bitwise_equal(expected, Executor(program).forward(batch)))
+              << label;
+        }
+      }
+    }
+  }
+  EXPECT_GE(steps_checked, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomStacks, RuntimeProperty,
