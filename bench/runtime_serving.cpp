@@ -320,7 +320,10 @@ int main(int argc, char** argv) {
         stats.latency_p99_ms);
   }
 
-  // --- Nonideal end-to-end: accuracy through quantised converters -----------
+  // --- Nonideal end-to-end: accuracy through quantised converters, and
+  // what the converters cost: batch-32 forwards of the ideal and the
+  // quantised program (interleaved reps), their difference priced per DAC
+  // and ADC conversion of the batch (obs::profile_program counts).
   {
     const data::SyntheticMnist test_set(/*seed=*/2, budget.eval_samples);
     runtime::CompileOptions nonideal;
@@ -334,15 +337,39 @@ int main(int argc, char** argv) {
         runtime::evaluate(executor, test_set, budget.eval_samples);
     const double quant_acc =
         runtime::evaluate(qexec, test_set, budget.eval_samples);
+    std::vector<double> ideal_walls;
+    std::vector<double> quant_walls;
+    for (int r = 0; r < budget.reps * 3; ++r) {
+      ideal_walls.push_back(
+          time_median_seconds([&] { executor.forward(batch32); }, 1));
+      quant_walls.push_back(
+          time_median_seconds([&] { qexec.forward(batch32); }, 1));
+    }
+    std::sort(ideal_walls.begin(), ideal_walls.end());
+    std::sort(quant_walls.begin(), quant_walls.end());
+    const double ideal32_s = ideal_walls[ideal_walls.size() / 2];
+    const double quant32_s = quant_walls[quant_walls.size() / 2];
+    const obs::ExecProfile profile = obs::profile_program(quantized);
+    const double conversions =
+        32.0 * static_cast<double>(profile.dac_conversions +
+                                   profile.adc_conversions);
+    const double ns_per_conversion =
+        (quant32_s - ideal32_s) / conversions * 1e9;
     BenchRecord rec;
     rec.name = "nonideal_accuracy";
     rec.label("device", "64-level cells, 8-bit DAC, 12-bit ADC");
     rec.metric("ideal_accuracy", ideal_acc)
         .metric("quantized_accuracy", quant_acc)
-        .metric("eval_samples", static_cast<double>(budget.eval_samples));
+        .metric("eval_samples", static_cast<double>(budget.eval_samples))
+        .metric("ideal_batch32_seconds", ideal32_s)
+        .metric("quantized_batch32_seconds", quant32_s)
+        .metric("converter_ns_per_conversion", ns_per_conversion);
     records.push_back(rec);
-    std::printf("nonideal_accuracy           ideal %.3f   quantized %.3f\n",
-                ideal_acc, quant_acc);
+    std::printf(
+        "nonideal_accuracy           ideal %.3f   quantized %.3f   batch32 "
+        "%.2fms vs %.2fms, converters %.2f ns/conversion\n",
+        ideal_acc, quant_acc, ideal32_s * 1e3, quant32_s * 1e3,
+        ns_per_conversion);
   }
 
   // --- Heavily-deleted model: the workload group connection deletion

@@ -1,7 +1,6 @@
 #include "runtime/executor.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -9,6 +8,7 @@
 #include "common/thread_pool.hpp"
 #include "nn/trainer.hpp"
 #include "obs/trace.hpp"
+#include "runtime/lane_quantizer.hpp"
 #include "tensor/im2col.hpp"
 
 namespace gs::runtime {
@@ -16,6 +16,13 @@ namespace gs::runtime {
 namespace {
 
 constexpr std::size_t kPanel = hw::AnalogCrossbar::kPanelRows;
+
+/// Row stride of a panel's partial sums for `cols` columns: whole
+/// LaneQuantizer calls, so the ADC never needs a tail (the padding lanes
+/// hold junk nothing reads).
+std::size_t lane_stride(std::size_t cols) {
+  return (cols + kPanel - 1) / kPanel * kPanel;
+}
 
 std::size_t pool_out_extent(std::size_t in, std::size_t kernel,
                             std::size_t stride) {
@@ -81,6 +88,7 @@ struct StageOutput {
 struct StageScratch {
   std::vector<double> values;  // input panel | gathered | partial | acc
   std::vector<float> patch;    // one im2col patch row (see pack_panel)
+  LaneQuantizer adc[kPanel];   // the panel's ADC, per vector (apply_plan)
 };
 
 StageScratch& stage_scratch() {
@@ -165,15 +173,17 @@ Wires live_wires(const std::vector<std::uint32_t>& map,
 /// DAC/ADC at the stage boundary. Tasks own disjoint row blocks and walk
 /// them in panels of kPanel input vectors. Per panel the converter front
 /// end runs once — each vector's full scale (max |x| over the whole
-/// vector) and its DAC levels, in one interleaved panel — and then one
-/// loop serves both lowerings: a tile column's schedule is its tiles in
-/// ascending tile row (padded plans: row-major `tiles`, skip-marked ones
-/// not run; repacked plans: `column_tiles`), a tile reads a contiguous row
-/// range of the panel in place or gathers its live rows, and its ADC'd
-/// sums land on contiguous or scattered columns. Per output the arithmetic
-/// is the per-row loop's — MVM from +0.0 in ascending weight-row order,
-/// ADC per tile, add in ascending tile-row order — so neither the pool
-/// size, the blocking nor the batch composition can change a bit.
+/// vector), its DAC levels and its ADC constants, lane-wise over the
+/// interleaved panel — and then one loop serves both lowerings: a tile
+/// column's schedule is its tiles in ascending tile row (padded plans:
+/// row-major `tiles`, skip-marked ones not run; repacked plans:
+/// `column_tiles`), a tile reads a contiguous row range of the panel in
+/// place or gathers its live rows, and its sums, ADC'd while still in L1,
+/// land on contiguous or scattered columns. Per output the arithmetic is
+/// the per-row loop's — MVM from +0.0 in ascending weight-row order, ADC
+/// per tile (LaneQuantizer: quantize_uniform's bits), add in ascending
+/// tile-row order — so neither the pool size, the blocking nor the batch
+/// composition can change a bit.
 void apply_plan(ThreadPool& tp, const MatrixPlan& plan,
                 const DacAdcParams& conv, std::size_t rows,
                 const StageInput& in, const StageOutput& out) {
@@ -190,7 +200,7 @@ void apply_plan(ThreadPool& tp, const MatrixPlan& plan,
       plan.w_max * static_cast<double>(plan.grid.tile.rows);
   const std::size_t panel_len = kPanel * in_dim;
   const std::size_t tile_len = kPanel * plan.grid.tile.rows;
-  const std::size_t out_len = kPanel * plan.grid.tile.cols;
+  const std::size_t out_len = kPanel * lane_stride(plan.grid.tile.cols);
 
   // Row blocks are whole panels; blocking only partitions work, so the
   // block size may track the pool size freely.
@@ -208,35 +218,47 @@ void apply_plan(ThreadPool& tp, const MatrixPlan& plan,
     double* const gathered = panel + panel_len;
     double* const partial = gathered + tile_len;
     double* const acc = partial + out_len;
+    LaneQuantizer* const adc = scratch.adc;
 
     for (std::size_t r0 = row_begin; r0 < row_end; r0 += kPanel) {
       const std::size_t n = std::min(kPanel, row_end - r0);
       pack_panel(in, in_dim, r0, n, panel, scratch.patch);
       // Converter front end: each input vector's DAC/ADC full scale is its
-      // own max |x|; the DAC quantises in place (an all-zero vector,
-      // x_max == 0, passes through as is).
+      // own max |x|, one lane-wise max per panel row; the DAC quantises in
+      // place, one call per panel row (an all-zero vector, x_max == 0,
+      // passes through as is). Lanes past n hold stale values; zeroing
+      // them makes them such vectors.
       double x_max[kPanel] = {};
       if (need_scale) {
+        if (n < kPanel) {
+          for (std::size_t i = 0; i < in_dim; ++i) {
+            std::fill(panel + i * kPanel + n, panel + (i + 1) * kPanel, 0.0);
+          }
+        }
+        lane_max_abs(panel, in_dim, x_max);
+      }
+      if (conv.dac_levels > 0) {
+        const LaneQuantizer dac(conv.dac_levels, x_max);
         for (std::size_t i = 0; i < in_dim; ++i) {
-          for (std::size_t r = 0; r < n; ++r) {
-            x_max[r] = std::max(x_max[r], std::fabs(panel[i * kPanel + r]));
+          double* const row = panel + i * kPanel;
+          dac.apply(row);
+          // The array sees float voltages (passed-through lanes already
+          // are floats).
+          for (std::size_t r = 0; r < kPanel; ++r) {
+            row[r] = static_cast<float>(row[r]);
           }
         }
       }
-      if (conv.dac_levels > 0) {
+      if (conv.adc_levels > 0) {
         for (std::size_t r = 0; r < n; ++r) {
-          if (!(x_max[r] > 0.0)) continue;
-          for (std::size_t i = 0; i < in_dim; ++i) {
-            double& v = panel[i * kPanel + r];
-            v = static_cast<float>(
-                quantize_uniform(v, x_max[r], conv.dac_levels));
-          }
+          adc[r] = LaneQuantizer(conv.adc_levels, x_max[r] * adc_gain);
         }
       }
 
       for (std::size_t tc = 0; tc < grid_cols; ++tc) {
         const hw::GroupSlice col = hw::tile_slice(plan.grid, 0, tc);
         const std::size_t width = col.col_end - col.col_begin;
+        const std::size_t acc_ld = lane_stride(width);
         const std::size_t schedule =
             plan.repacked ? plan.column_tiles[tc].size() : grid_rows;
         bool started = false;  // acc holds this column's running sums
@@ -265,26 +287,23 @@ void apply_plan(ThreadPool& tp, const MatrixPlan& plan,
           // ADC level is never −0.0.
           const bool first =
               !started && cols_out.map == nullptr && q == width;
-          if (!started && !first) std::fill(acc, acc + n * width, 0.0);
+          if (!started && !first) std::fill(acc, acc + n * acc_ld, 0.0);
           started = true;
           double* const y = first ? acc : partial;
-          tile.xbar.matvec_panel(x, n, y, q);
+          const std::size_t ld = lane_stride(q);
+          tile.xbar.matvec_panel(x, n, y, ld);
           if (conv.adc_levels > 0) {
             for (std::size_t r = 0; r < n; ++r) {
-              if (!(x_max[r] > 0.0)) continue;
-              const double full_scale = x_max[r] * adc_gain;
-              double* const sums = y + r * q;
-              for (std::size_t j = 0; j < q; ++j) {
-                sums[j] =
-                    quantize_uniform(sums[j], full_scale, conv.adc_levels);
+              for (std::size_t j = 0; j < q; j += kPanel) {
+                adc[r].apply(y + r * ld + j);
               }
             }
           }
           if (first) continue;
           // Digital partial-sum accumulation, fixed tile-row order.
           for (std::size_t r = 0; r < n; ++r) {
-            double* a = acc + r * width;
-            const double* p = partial + r * q;
+            double* a = acc + r * acc_ld;
+            const double* p = partial + r * ld;
             if (cols_out.map == nullptr) {
               a += cols_out.first - col.col_begin;
               for (std::size_t j = 0; j < q; ++j) a[j] += p[j];
@@ -295,7 +314,7 @@ void apply_plan(ThreadPool& tp, const MatrixPlan& plan,
             }
           }
         }
-        if (!started) std::fill(acc, acc + n * width, 0.0);
+        if (!started) std::fill(acc, acc + n * acc_ld, 0.0);
 
         // Float conversion, then the bias in float, into row-major rows or
         // channel-major planes.
@@ -311,7 +330,7 @@ void apply_plan(ThreadPool& tp, const MatrixPlan& plan,
             stride = out.patches;
           }
           for (std::size_t j = 0; j < width; ++j) {
-            float v = static_cast<float>(acc[r * width + j]);
+            float v = static_cast<float>(acc[r * acc_ld + j]);
             if (out.bias != nullptr) v += out.bias[col.col_begin + j];
             dst[j * stride] = v;
           }

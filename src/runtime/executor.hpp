@@ -31,7 +31,9 @@
 // Converter model: DAC full scale is the per-input-vector max |x| (each
 // sample / im2col patch row carries its own scale, so batched and
 // single-sample execution agree exactly); ADC full scale is the no-overload
-// bound x_max · w_max · P for a P-row tile.
+// bound x_max · w_max · P for a P-row tile. Both quantise through
+// LaneQuantizer (runtime/lane_quantizer.hpp): quantize_uniform's exact bits,
+// its constants derived once per vector, 8 conversions per call.
 #pragma once
 
 #include <cstddef>

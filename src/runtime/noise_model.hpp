@@ -21,9 +21,9 @@
 //    weights each step), then the next realisation models a fresh chip.
 //  * converter rounding — DAC quantisation of the activations entering a
 //    crossbar step and ADC rounding of the partial sums leaving it, using
-//    the executor's quantize_uniform with the executor's full-scale
-//    conventions (per input vector for the DAC; x_max·w_max·rows for the
-//    ADC). Training applies the ADC at MATRIX granularity (the single-tile
+//    quantize_uniform (whose exact bits the executor's LaneQuantizer
+//    returns) with the executor's full-scale conventions (per input vector
+//    for the DAC; x_max·w_max·rows for the ADC). Training applies the ADC at MATRIX granularity (the single-tile
 //    equivalent, after the bias) and only to single-stage steps — a coarser
 //    stand-in for the executor's per-tile pre-bias rounding that exposes
 //    training to quantisation roughness without reimplementing the tile

@@ -10,6 +10,7 @@
 #include "nn/dropout.hpp"
 #include "nn/lowrank.hpp"
 #include "nn/pool2d.hpp"
+#include "runtime/lane_quantizer.hpp"
 
 namespace gs::runtime {
 
@@ -33,6 +34,9 @@ void DacAdcParams::validate() const {
                "dac_levels must be 0 (ideal) or >= 2");
   GS_CHECK_MSG(adc_levels == 0 || adc_levels >= 2,
                "adc_levels must be 0 (ideal) or >= 2");
+  GS_CHECK_MSG(dac_levels <= kMaxConverterLevels &&
+                   adc_levels <= kMaxConverterLevels,
+               "converter levels must be <= " << kMaxConverterLevels);
 }
 
 std::size_t MatrixPlan::skipped_tile_count() const {

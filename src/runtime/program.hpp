@@ -58,6 +58,8 @@ namespace gs::runtime {
 /// Digital/analog converter resolution at each crossbar stage boundary.
 /// `levels` counts uniformly-spaced states across the full scale; 0 keeps
 /// the boundary ideal (float passthrough), mirroring AnalogParams::levels.
+/// validate() admits 0 or 2..kMaxConverterLevels (runtime/lane_quantizer.hpp
+/// — the executor's quantiser indexes states in int32).
 struct DacAdcParams {
   std::size_t dac_levels = 0;  ///< input-voltage states (0 = ideal DAC)
   std::size_t adc_levels = 0;  ///< readout states (0 = ideal ADC)
@@ -69,9 +71,10 @@ struct DacAdcParams {
 /// uniformly-spaced states across [-full_scale, +full_scale], clamping at
 /// the rails. The mid state of an odd level count returns exactly 0.0 (the
 /// tile-skip contract requires a zero partial sum to round-trip through an
-/// odd-count ADC). Used by the executor at every DAC/ADC boundary and by
-/// the training-time noise model (noise_model.hpp), so both quantise
-/// identically. Requires levels >= 2.
+/// odd-count ADC). The converter model of the training-time noise model
+/// (noise_model.hpp) and the oracle of the executor's LaneQuantizer
+/// (lane_quantizer.hpp), which returns its exact bits, so training and
+/// execution quantise identically. Requires levels >= 2.
 double quantize_uniform(double v, double full_scale, std::size_t levels);
 
 /// Everything compile() needs to know about the target hardware. The

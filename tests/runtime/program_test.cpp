@@ -9,6 +9,7 @@
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "nn/lowrank.hpp"
+#include "runtime/lane_quantizer.hpp"
 
 namespace gs::runtime {
 namespace {
@@ -29,6 +30,19 @@ TEST(DacAdcParamsTest, ValidateRejectsSingleLevel) {
   EXPECT_THROW(params.validate(), Error);
   params.adc_levels = 2;
   EXPECT_NO_THROW(params.validate());
+}
+
+TEST(DacAdcParamsTest, ValidateCapsLevelsAtTheLaneQuantizerIndexRange) {
+  // The executor's quantiser indexes converter states in int32.
+  DacAdcParams params;
+  params.dac_levels = kMaxConverterLevels;
+  params.adc_levels = kMaxConverterLevels;
+  EXPECT_NO_THROW(params.validate());
+  params.dac_levels = kMaxConverterLevels + 1;
+  EXPECT_THROW(params.validate(), Error);
+  params.dac_levels = 255;
+  params.adc_levels = kMaxConverterLevels + 1;
+  EXPECT_THROW(params.validate(), Error);
 }
 
 TEST(CompileTest, LenetLowersEveryLayer) {

@@ -18,7 +18,9 @@
 //  4. scalar-reference differential: every crossbar step, compiled alone,
 //     reproduces bitwise a test-only scalar reference of the executor's
 //     per-row loop (accumulate_matvec, ADC, fixed tile-row add) — padded
-//     and repacked, ideal and quantised, before and after inject_faults.
+//     and repacked; ideal converters, both quantised (odd ADC), DAC only,
+//     ADC only, and an even ADC count (padded, nothing skipped); before and
+//     after inject_faults.
 // Contract 2 runs at batch sizes that straddle the executor's row panels.
 // This replaces hand-picked shapes with a generator: every seed is its own
 // ctest case, so a failure names the stack that broke.
@@ -29,6 +31,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -496,7 +499,8 @@ TEST_P(RuntimeProperty, CompileExecuteContractsHold) {
 TEST_P(RuntimeProperty, StepsMatchScalarReference) {
   // --- Contract 4: each crossbar layer of the stack, compiled alone, runs
   // bitwise like the scalar reference of the per-row loop, on inputs with
-  // exact zeros, −0.0 and mixed signs. ----------------------------------
+  // exact zeros, −0.0 and mixed signs, with ideal converters, both
+  // converters (odd ADC), DAC only, ADC only, and an even ADC count. -----
   const std::uint64_t seed = GetParam();
   RandomStack stack = build_stack(seed);
   Rng rng(seed * 131 + 7);
@@ -509,6 +513,14 @@ TEST_P(RuntimeProperty, StepsMatchScalarReference) {
   quantised.analog.seed = seed + 29;
   quantised.converters.dac_levels = 2 + rng.uniform_index(200);
   quantised.converters.adc_levels = 3 + 2 * rng.uniform_index(100);  // odd
+  CompileOptions dac_only = quantised;
+  dac_only.converters.adc_levels = 0;
+  CompileOptions adc_only = quantised;
+  adc_only.converters.dac_levels = 0;
+  // An even ADC maps a zero sum to ±step/2: compile() refuses repacking
+  // and skip proofs, so this runs padded with every tile executed.
+  CompileOptions even_adc = quantised;
+  even_adc.converters.adc_levels = 2 + 2 * rng.uniform_index(100);
   hw::FaultModelConfig faults;
   faults.stuck_rate = 0.05;
   faults.drift_nu = 0.05;
@@ -530,16 +542,25 @@ TEST_P(RuntimeProperty, StepsMatchScalarReference) {
     for (std::size_t i = 0; i < batch.numel(); i += 5) batch[i] = 0.0f;
     for (std::size_t i = 2; i < batch.numel(); i += 7) batch[i] = -0.0f;
 
+    const std::pair<const char*, const CompileOptions*> configs[] = {
+        {" ideal", &ideal},
+        {" quantised", &quantised},
+        {" DAC-only", &dac_only},
+        {" ADC-only", &adc_only},
+        {" even-ADC", &even_adc}};
     for (const bool repack : {false, true}) {
-      for (const CompileOptions* base : {&ideal, &quantised}) {
+      for (const auto& [name, base] : configs) {
         CompileOptions options = *base;
         options.repack = repack;
         CrossbarProgram program = compile(alone, in_shape, options);
+        if (base == &even_adc) {
+          EXPECT_FALSE(program.repacked()) << layer.name();
+          EXPECT_EQ(program.skipped_tile_count(), 0u) << layer.name();
+        }
         for (const bool faulted : {false, true}) {
           if (faulted) inject_faults(program, faults);
           const std::string label =
-              layer.name() + (repack ? " repacked" : " padded") +
-              (base == &ideal ? " ideal" : " quantised") +
+              layer.name() + (repack ? " repacked" : " padded") + name +
               (faulted ? " faulted" : "") + ", seed " + std::to_string(seed);
           ASSERT_EQ(program.steps().size(), 1u) << label;
           const Tensor expected = reference_step(
