@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -86,6 +85,12 @@ BenchRecord& BenchRecord::metric(std::string key, double value) {
   return *this;
 }
 
+BenchRecord& BenchRecord::spread(const std::string& key, const Spread& s) {
+  return metric(key, s.median)
+      .metric(key + "_min", s.min)
+      .metric(key + "_max", s.max);
+}
+
 namespace {
 
 std::string json_escape(const std::string& s) {
@@ -151,37 +156,55 @@ void write_bench_json(const std::string& path, const std::string& bench_name,
   GS_CHECK_MSG(out.good(), "failed writing " << path);
 }
 
-std::string weights_checksum(nn::Network& net) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const nn::ParamRef& param : net.params()) {
-    const float* data = param.value->data();
-    for (std::size_t i = 0; i < param.value->numel(); ++i) {
-      std::uint32_t bits;
-      std::memcpy(&bits, &data[i], sizeof bits);
-      for (int b = 0; b < 4; ++b) {
-        h ^= (bits >> (8 * b)) & 0xffu;
-        h *= 0x100000001b3ULL;
-      }
+Spread spread_of(std::vector<double> values) {
+  GS_CHECK_MSG(!values.empty(), "spread of an empty series");
+  std::sort(values.begin(), values.end());
+  return {values.front(), values[values.size() / 2], values.back()};
+}
+
+Spread Spread::map(const std::function<double(double)>& f) const {
+  return spread_of({f(min), f(median), f(max)});
+}
+
+Spread InterleavedTimes::arm(std::size_t a) const {
+  return spread_of(seconds.at(a));
+}
+
+Spread InterleavedTimes::paired(
+    std::size_t a, std::size_t b,
+    const std::function<double(double, double)>& f) const {
+  std::vector<double> values;
+  for (std::size_t r = 0; r < seconds.at(a).size(); ++r) {
+    values.push_back(f(seconds[a][r], seconds.at(b).at(r)));
+  }
+  return spread_of(std::move(values));
+}
+
+Spread InterleavedTimes::ratio(std::size_t num, std::size_t den) const {
+  return paired(num, den, std::divides<>());
+}
+
+InterleavedTimes time_interleaved(
+    const std::vector<std::function<void()>>& arms, int reps) {
+  GS_CHECK(!arms.empty() && reps >= 1);
+  // Warm-up round: page-in, pool spin-up, cache priming.
+  for (const auto& fn : arms) fn();
+  InterleavedTimes times;
+  times.seconds.assign(arms.size(), {});
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t a = 0; a < arms.size(); ++a) {
+      const auto start = std::chrono::steady_clock::now();
+      arms[a]();
+      const auto stop = std::chrono::steady_clock::now();
+      times.seconds[a].push_back(
+          std::chrono::duration<double>(stop - start).count());
     }
   }
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
+  return times;
 }
 
 double time_median_seconds(const std::function<void()>& fn, int reps) {
-  fn();  // warm-up: page-in, pool spin-up, cache priming
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const auto stop = std::chrono::steady_clock::now();
-    samples.push_back(std::chrono::duration<double>(stop - start).count());
-  }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  return time_interleaved({fn}, reps).arm(0).median;
 }
 
 }  // namespace gs::bench

@@ -65,6 +65,16 @@ nn::SgdConfig convnet_sgd();
 
 // --- Machine-readable benchmark trajectories (BENCH_*.json) ----------------
 
+/// min/median/max of one series of repeated measurements.
+struct Spread {
+  double min = 0.0;
+  double median = 0.0;
+  double max = 0.0;
+
+  /// The spread of f(x) for a monotone f (a decreasing f swaps min and max).
+  Spread map(const std::function<double(double)>& f) const;
+};
+
 /// One benchmark case: a name, string labels (shape, variant, …) and numeric
 /// metrics (seconds, gflops, speedup, …). Insertion order is preserved in
 /// the emitted JSON.
@@ -75,6 +85,8 @@ struct BenchRecord {
 
   BenchRecord& label(std::string key, std::string value);
   BenchRecord& metric(std::string key, double value);
+  /// Emits `key` (the median) plus `key_min` and `key_max`.
+  BenchRecord& spread(const std::string& key, const Spread& s);
 };
 
 /// Writes `{"bench": <bench_name>, "env": {...}, "records": [...]}` to
@@ -87,13 +99,34 @@ struct BenchRecord {
 void write_bench_json(const std::string& path, const std::string& bench_name,
                       const std::vector<BenchRecord>& records);
 
-/// FNV-1a over the raw bytes of every learnable parameter, as a hex string.
-/// Bitwise-equal networks ⇒ equal checksums, so two bench runs (e.g. at
-/// GS_NUM_THREADS=1 vs 4) can assert training determinism across processes.
-std::string weights_checksum(nn::Network& net);
+// --- Timing -----------------------------------------------------------------
+
+/// Spread of `values` (must be non-empty; the median of an even count is the
+/// upper middle element).
+Spread spread_of(std::vector<double> values);
+
+/// Wall-clock seconds of several arms timed in interleaved rounds.
+struct InterleavedTimes {
+  std::vector<std::vector<double>> seconds;  ///< [arm][round]
+
+  Spread arm(std::size_t a) const;
+  /// Spread of f(seconds[a][r], seconds[b][r]) over the rounds r — a paired
+  /// estimator: both arms of one round saw the same machine state.
+  Spread paired(std::size_t a, std::size_t b,
+                const std::function<double(double, double)>& f) const;
+  /// paired() with f = division: how many times faster arm `den` ran than
+  /// arm `num`.
+  Spread ratio(std::size_t num, std::size_t den) const;
+};
+
+/// The one timing helper: one untimed warm-up round, then `reps` rounds that
+/// each call every arm once, in order, so machine drift on a shared host
+/// hits all arms alike. Compare arms through ratio() and report spreads.
+InterleavedTimes time_interleaved(
+    const std::vector<std::function<void()>>& arms, int reps);
 
 /// Median wall-clock seconds of fn() over `reps` timed runs (after one
-/// untimed warm-up call).
+/// untimed warm-up call) — time_interleaved with a single arm.
 double time_median_seconds(const std::function<void()>& fn, int reps = 5);
 
 }  // namespace gs::bench

@@ -7,7 +7,7 @@
 // working directory and prints the same table to stdout — the same
 // bench_util scaffolding as micro_gemm/micro_lasso. Thread count follows
 // GS_NUM_THREADS (the census/occupancy sweeps run on gs::ThreadPool). Pass
-// --smoke for a tiny-size, few-rep CI run.
+// --smoke for a tiny-size, few-rep CI run that prints but writes no JSON.
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -157,7 +157,9 @@ int main(int argc, char** argv) {
     records.push_back(rec);
   }
 
-  write_bench_json("BENCH_hw.json", "hw", records);
-  note("\nwrote BENCH_hw.json");
+  if (!smoke) {  // a smoke run never overwrites the full-budget record
+    write_bench_json("BENCH_hw.json", "hw", records);
+    note("\nwrote BENCH_hw.json");
+  }
   return 0;
 }

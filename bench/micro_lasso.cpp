@@ -7,7 +7,8 @@
 // Emits BENCH_lasso.json (seconds and speedup per case, plus a bitwise
 // thread-count determinism record) into the working directory and prints
 // the same table to stdout. Thread count follows GS_NUM_THREADS. Pass
-// --smoke for a tiny-size, few-rep run (CI sanitizer smoke).
+// --smoke for a tiny-size, few-rep run (CI sanitizer smoke) that prints but
+// writes no JSON.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -436,7 +437,9 @@ int main(int argc, char** argv) {
     records.push_back(rec);
   }
 
-  write_bench_json("BENCH_lasso.json", "lasso", records);
-  note("\nwrote BENCH_lasso.json");
+  if (!smoke) {  // a smoke run never overwrites the full-budget record
+    write_bench_json("BENCH_lasso.json", "lasso", records);
+    note("\nwrote BENCH_lasso.json");
+  }
   return deterministic ? 0 : 1;
 }

@@ -50,15 +50,6 @@ BatchingServer::BatchingServer(const Executor& executor, BatchingConfig config)
 
 BatchingServer::~BatchingServer() = default;
 
-std::future<Tensor> BatchingServer::submit(Tensor sample) {
-  return engine_->submit(std::move(sample));
-}
-
-std::future<Tensor> BatchingServer::submit(
-    Tensor sample, std::chrono::microseconds deadline) {
-  return engine_->submit(std::move(sample), deadline);
-}
-
 std::future<Tensor> BatchingServer::submit(Tensor sample,
                                            const RequestOptions& options) {
   return engine_->submit(std::move(sample), options);

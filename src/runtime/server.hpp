@@ -227,20 +227,13 @@ class BatchingServer {
   BatchingServer& operator=(const BatchingServer&) = delete;
 
   /// Enqueues one sample (the program's per-sample input shape) and returns
-  /// a future for its logits (rank-1, classes). The request carries
-  /// `config.admission.default_deadline`. A full queue, a shut-down server,
-  /// or a predicted deadline miss rejects: the future carries
-  /// std::runtime_error naming the reason.
-  std::future<Tensor> submit(Tensor sample);
-
-  /// As above with an explicit per-request deadline (time allowed from
-  /// submit to completion; 0 = none).
-  std::future<Tensor> submit(Tensor sample, std::chrono::microseconds deadline);
-
-  /// Full per-request surface: deadline, tenant id, priority. The queue and
-  /// displacement shedding order by (deadline, then priority); `tenant` is
-  /// recorded on the request but no per-tenant cap applies.
-  std::future<Tensor> submit(Tensor sample, const RequestOptions& options);
+  /// a future for its logits (rank-1, classes). `options` carries the
+  /// deadline (0 = `config.admission.default_deadline`), tenant id and
+  /// priority. The queue and displacement shedding order by (deadline, then
+  /// priority); `tenant` is recorded on the request but no per-tenant cap
+  /// applies. A full queue, a shut-down server, or a predicted deadline miss
+  /// rejects: the future carries std::runtime_error naming the reason.
+  std::future<Tensor> submit(Tensor sample, const RequestOptions& options = {});
 
   /// Blocking convenience: submit + get.
   Tensor infer(const Tensor& sample);

@@ -327,18 +327,6 @@ void ShardedServer::record_health(std::size_t r, ReplicaHealth state) const {
   replica_metrics_[r]->transitions_to[static_cast<std::size_t>(index)]->inc();
 }
 
-std::future<Tensor> ShardedServer::submit(Tensor sample) {
-  return submit(std::move(sample),
-                config_.batching.admission.default_deadline);
-}
-
-std::future<Tensor> ShardedServer::submit(Tensor sample,
-                                          std::chrono::microseconds deadline) {
-  RequestOptions options;
-  options.deadline = deadline;
-  return submit(std::move(sample), options);
-}
-
 std::future<Tensor> ShardedServer::submit(Tensor sample,
                                           const RequestOptions& options) {
   const std::chrono::microseconds deadline =

@@ -269,21 +269,14 @@ class ShardedServer {
   ShardedServer& operator=(const ShardedServer&) = delete;
 
   /// Enqueues one sample on the least-loaded active replica and returns a
-  /// future for its logits (rank-1, classes). The request carries
-  /// `config.batching.admission.default_deadline`. A full fleet queue, a
-  /// shut-down server, or a predicted deadline miss rejects: the future
-  /// carries std::runtime_error naming the reason.
-  std::future<Tensor> submit(Tensor sample);
-
-  /// As above with an explicit per-request deadline (time allowed from
-  /// submit to completion; 0 = none).
-  std::future<Tensor> submit(Tensor sample, std::chrono::microseconds deadline);
-
-  /// Full per-request surface: deadline, tenant id, priority. Placement and
-  /// displacement shedding order by (deadline, then priority); the
-  /// per-tenant inflight cap rejects a tenant already holding
-  /// max_inflight_per_tenant queued+executing requests.
-  std::future<Tensor> submit(Tensor sample, const RequestOptions& options);
+  /// future for its logits (rank-1, classes). `options` carries the
+  /// deadline (0 = `config.batching.admission.default_deadline`), tenant id
+  /// and priority. Placement and displacement shedding order by (deadline,
+  /// then priority); the per-tenant inflight cap rejects a tenant already
+  /// holding max_inflight_per_tenant queued+executing requests. A full fleet
+  /// queue, a shut-down server, or a predicted deadline miss rejects: the
+  /// future carries std::runtime_error naming the reason.
+  std::future<Tensor> submit(Tensor sample, const RequestOptions& options = {});
 
   /// Blocking convenience: submit + get.
   Tensor infer(const Tensor& sample);

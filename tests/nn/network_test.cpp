@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
+#include "core/models.hpp"
 #include "nn/activations.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/lowrank.hpp"
 
@@ -102,6 +105,40 @@ TEST(Network, BackwardPropagatesThroughStack) {
   // Some gradient must reach the first layer's weights.
   const auto params = net.params();
   EXPECT_LT(params[0].grad->count_zeros(), params[0].grad->numel());
+}
+
+// The digital block-compressed path on the workload group deletion
+// produces: tile-aligned bands of conv2 and fc1 rows deleted from LeNet.
+// Packed eval forwards stay within 1e-4 of the dense forward, and clearing
+// the panels restores the dense forward bitwise.
+TEST(CompressedInference, DeletedLeNetWithinBudgetAndClearRestoresDense) {
+  Rng rng(1);
+  Network net = core::build_lenet(rng);
+  auto* conv2 = dynamic_cast<Conv2dLayer*>(net.find("conv2"));
+  auto* fc1 = dynamic_cast<DenseLayer*>(net.find("fc1"));
+  ASSERT_NE(conv2, nullptr);
+  ASSERT_NE(fc1, nullptr);
+  const auto zero_rows = [](Tensor& w, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t j = 0; j < w.cols(); ++j) w.at(i, j) = 0.0f;
+    }
+  };
+  zero_rows(conv2->weight(), 100, 500);
+  zero_rows(fc1->weight(), 200, 800);
+
+  Tensor batch(Shape{8, 1, 28, 28});
+  batch.fill_uniform(rng, 0.0f, 1.0f);
+  const Tensor dense = net.forward(batch, /*train=*/false);
+  const std::size_t packed = pack_compressed_inference(net);
+  EXPECT_EQ(packed, 4u);  // conv1, conv2, fc1, fc2
+  EXPECT_LE(max_abs_diff(dense, net.forward(batch, /*train=*/false)), 1e-4f);
+
+  EXPECT_EQ(clear_compressed_inference(net), packed);
+  const Tensor cleared = net.forward(batch, /*train=*/false);
+  ASSERT_TRUE(cleared.same_shape(dense));
+  EXPECT_EQ(std::memcmp(cleared.data(), dense.data(),
+                        dense.numel() * sizeof(float)),
+            0);
 }
 
 }  // namespace

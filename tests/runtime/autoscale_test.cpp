@@ -21,6 +21,7 @@
 #include "nn/dense.hpp"
 #include "obs/metrics.hpp"
 #include "obs/serving_metrics.hpp"
+#include "runtime/health.hpp"
 
 namespace gs::runtime {
 namespace {
@@ -204,11 +205,17 @@ TEST(AutoscaleTest, NoScalingWhileAnyReplicaQuarantined) {
 TEST(AutoscaleTest, DecisionLogReplaysBitwise) {
   nn::Network net = small_net();
   // The same scripted traffic against two fresh fleets must produce
-  // bitwise-equal decision logs; perturbing one submission must not.
-  const auto run_script = [&](std::size_t burst) {
+  // bitwise-equal decision logs, logits and counters — at any thread
+  // budget; perturbing one submission must change the log.
+  struct Replay {
+    std::uint64_t decisions = 0;
+    std::uint64_t fingerprint = 0;  ///< logits checksums, then counters
+  };
+  const auto run_script = [&](std::size_t burst, std::size_t threads) {
     obs::Registry registry;
-    ShardedServer server(net, Shape{64}, CompileOptions{},
-                         elastic_config(registry));
+    ShardConfig config = elastic_config(registry);
+    config.total_threads = threads;
+    ShardedServer server(net, Shape{64}, CompileOptions{}, config);
     server.set_paused(true);
     std::vector<std::future<Tensor>> futures;
     for (std::uint64_t s = 0; s < burst; ++s) {
@@ -221,18 +228,81 @@ TEST(AutoscaleTest, DecisionLogReplaysBitwise) {
     server.autoscale_tick_now();
     server.autoscale_tick_now();
     server.set_paused(false);
-    for (auto& f : futures) f.get();
+    Replay replay;
+    const auto fold = [&](std::uint64_t value) {
+      replay.fingerprint = (replay.fingerprint ^ value) * 1099511628211ULL;
+    };
+    for (auto& f : futures) fold(tensor_checksum(f.get()));
     server.shutdown();
     const std::vector<AutoscaleDecision> log = server.autoscale_log();
     EXPECT_EQ(log.size(), 3u);
-    return server.autoscale_log_checksum();
+    const ShardStats stats = server.stats();
+    for (const std::size_t counter :
+         {stats.aggregate.completed, stats.aggregate.rejected,
+          stats.autoscale_ups, stats.autoscale_downs, stats.drained}) {
+      fold(counter);
+    }
+    replay.decisions = server.autoscale_log_checksum();
+    return replay;
   };
 
-  const std::uint64_t first = run_script(8);
-  const std::uint64_t replay = run_script(8);
-  const std::uint64_t perturbed = run_script(7);
-  EXPECT_EQ(first, replay);
-  EXPECT_NE(first, perturbed);
+  const Replay first = run_script(8, 1);
+  const Replay replay = run_script(8, 1);
+  const Replay wide = run_script(8, 4);
+  const Replay perturbed = run_script(7, 1);
+  EXPECT_EQ(first.decisions, replay.decisions);
+  EXPECT_EQ(first.fingerprint, replay.fingerprint);
+  EXPECT_EQ(first.decisions, wide.decisions);
+  EXPECT_EQ(first.fingerprint, wide.fingerprint);
+  EXPECT_NE(first.decisions, perturbed.decisions);
+}
+
+TEST(AutoscaleTest, ElasticFleetHitsMoreDeadlinesThanFixedReplica) {
+  // A scripted burst against one fixed replica and an elastic fleet of 1..3
+  // at the same thread budget. Per tick: dispatch freezes, the tick's
+  // arrivals are submitted with a lax deadline, the controller ticks, and
+  // every future resolves before the next tick. Each replica queues 8, so
+  // burst arrivals beyond the active replicas' queues are rejected: the
+  // fixed replica rejects 12 per burst tick, while the elastic fleet scales
+  // up as its queues fill and absorbs the later burst ticks.
+  nn::Network net = small_net();
+  const std::size_t arrivals[] = {4, 20, 20, 20, 4};
+  const auto run = [&](bool elastic) {
+    obs::Registry registry;
+    ShardConfig config = elastic_config(registry);
+    config.autoscale.enabled = elastic;
+    config.total_threads = 3;
+    config.batching.max_queue_depth = 8;
+    ShardedServer server(net, Shape{64}, CompileOptions{}, config);
+    std::uint64_t next = 0;
+    for (const std::size_t count : arrivals) {
+      server.set_paused(true);
+      std::vector<std::future<Tensor>> futures;
+      for (std::size_t i = 0; i < count; ++i) {
+        futures.push_back(server.submit(
+            random_sample(next++), {.deadline = std::chrono::seconds(30)}));
+      }
+      if (elastic) server.autoscale_tick_now();
+      server.set_paused(false);
+      for (auto& f : futures) {
+        try {
+          (void)f.get();
+        } catch (const std::runtime_error&) {
+          // queue-full rejection: counted by the server
+        }
+      }
+    }
+    server.shutdown();
+    return server.stats();
+  };
+
+  const ShardStats fixed = run(/*elastic=*/false);
+  const ShardStats scaled = run(/*elastic=*/true);
+  EXPECT_EQ(fixed.autoscale_ups, 0u);
+  EXPECT_GE(scaled.autoscale_ups, 1u);
+  EXPECT_EQ(fixed.aggregate.deadline_hits, fixed.aggregate.completed);
+  EXPECT_EQ(scaled.aggregate.deadline_hits, scaled.aggregate.completed);
+  EXPECT_GT(scaled.aggregate.deadline_hits, fixed.aggregate.deadline_hits);
 }
 
 TEST(AutoscaleTest, ControllerInputsAgreeWithInternalCounters) {
@@ -245,7 +315,7 @@ TEST(AutoscaleTest, ControllerInputsAgreeWithInternalCounters) {
   std::vector<std::future<Tensor>> futures;
   for (std::uint64_t s = 0; s < 6; ++s) {
     futures.push_back(server.submit(random_sample(s),
-                                    std::chrono::seconds(30)));
+                                    {.deadline = std::chrono::seconds(30)}));
   }
   for (auto& f : futures) f.get();
 
@@ -279,10 +349,11 @@ TEST(AutoscaleTest, FleetsSharingARegistryDecideOnTheirOwnTraffic) {
                         elastic_config(registry));
 
   for (std::uint64_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(fleet_b.submit(random_sample(s), std::chrono::seconds(30))
-                  .get()
-                  .numel(),
-              10u);
+    EXPECT_EQ(
+        fleet_b.submit(random_sample(s), {.deadline = std::chrono::seconds(30)})
+            .get()
+            .numel(),
+        10u);
   }
   fleet_b.set_paused(true);
   std::vector<std::future<Tensor>> backlog;

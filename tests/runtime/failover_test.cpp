@@ -17,6 +17,7 @@
 
 #include "common/check.hpp"
 #include "nn/dense.hpp"
+#include "runtime/health.hpp"
 
 namespace gs::runtime {
 namespace {
@@ -53,6 +54,86 @@ hw::FaultModelConfig heavy_faults(std::uint64_t seed = 5) {
   faults.stuck_at_gmax_fraction = 1.0;
   faults.seed = seed;
   return faults;
+}
+
+/// What one run of the scripted fault drill served, and its fingerprint:
+/// every response's logits checksum (a sentinel per rejection) folded with
+/// the fleet's final counters.
+struct DrillResult {
+  std::size_t submitted = 0;
+  std::size_t completed = 0;
+  std::uint64_t fingerprint = 0;
+};
+
+/// The serving_faults scenario of BENCH_runtime.json on the small net:
+///   A. healthy burst — both identical chips serve;
+///   B. stuck-at event on replica 1 with requests queued — the probe
+///      quarantines it and re-routes its half; `recalibrate` reprograms it;
+///   C. a second event on replica 0 — with replica 1 back, the probe
+///      quarantines it too and `recalibrate` heals it; without, replica 0
+///      is the last active chip and serves clamped to Degraded;
+///   D. a burst larger than one replica's queue — rejections without
+///      recalibration.
+/// Dispatch is frozen while each burst builds and every probe is manual,
+/// so the run must be a pure function of `recalibrate`.
+DrillResult run_fault_drill(const nn::Network& net, std::size_t total_threads,
+                            bool recalibrate) {
+  ShardConfig config;
+  config.replicas = 2;
+  config.seed_stride = 0;
+  config.steal_work = false;
+  config.auto_recalibrate = false;
+  config.total_threads = total_threads;
+  config.batching.max_queue_depth = 8;
+  ShardedServer server(net, Shape{64}, CompileOptions{}, config);
+
+  DrillResult result;
+  const auto fold = [&](std::uint64_t value) {
+    result.fingerprint = (result.fingerprint ^ value) * 1099511628211ULL;
+  };
+  std::vector<std::future<Tensor>> futures;
+  std::uint64_t next = 0;
+  const auto queue = [&](std::size_t count) {
+    server.set_paused(true);
+    for (std::size_t i = 0; i < count; ++i) {
+      futures.push_back(server.submit(random_sample(next++)));
+    }
+  };
+  const auto release = [&] {
+    server.set_paused(false);
+    for (auto& future : futures) {
+      ++result.submitted;
+      try {
+        fold(tensor_checksum(future.get()));
+        ++result.completed;
+      } catch (const std::runtime_error&) {
+        fold(0xDEADull);
+      }
+    }
+    futures.clear();
+  };
+
+  queue(8);  // A
+  release();
+  queue(4);  // B
+  server.inject_replica_faults(1, heavy_faults(5));
+  server.probe_now(1);
+  release();
+  if (recalibrate) server.recalibrate_now(1);
+  server.inject_replica_faults(0, heavy_faults(6));  // C
+  server.probe_now(0);
+  if (recalibrate) server.recalibrate_now(0);
+  queue(16);  // D
+  release();
+  server.shutdown();
+
+  const ShardStats stats = server.stats();
+  for (const std::size_t counter :
+       {stats.aggregate.completed, stats.aggregate.rejected,
+        stats.aggregate.shed, stats.retried, stats.recalibrations}) {
+    fold(counter);
+  }
+  return result;
 }
 
 TEST(FailoverTest, QuarantineReroutesQueuedRequestsToHealthyReplica) {
@@ -228,7 +309,8 @@ TEST(FailoverTest, AdmissionControlRejectsPredictedDeadlineMisses) {
   ShardedServer server(net, Shape{64}, CompileOptions{}, config);
 
   // A 1ms deadline cannot survive a predicted 10ms wait.
-  auto doomed = server.submit(random_sample(1), std::chrono::milliseconds(1));
+  auto doomed = server.submit(random_sample(1),
+                              {.deadline = std::chrono::milliseconds(1)});
   try {
     doomed.get();
     FAIL() << "expected admission rejection";
@@ -237,7 +319,8 @@ TEST(FailoverTest, AdmissionControlRejectsPredictedDeadlineMisses) {
   }
   // A generous deadline is admitted and served.
   const Tensor ok =
-      server.submit(random_sample(2), std::chrono::seconds(10)).get();
+      server.submit(random_sample(2), {.deadline = std::chrono::seconds(10)})
+          .get();
   EXPECT_EQ(ok.numel(), 10u);
   // No deadline means no prediction to miss.
   const Tensor free = server.infer(random_sample(3));
@@ -258,12 +341,15 @@ TEST(FailoverTest, FullQueueShedsByDeadlinePriority) {
   server.set_paused(true);
 
   // Queue holds one request with a lax deadline…
-  auto lax = server.submit(random_sample(1), std::chrono::seconds(20));
+  auto lax =
+      server.submit(random_sample(1), {.deadline = std::chrono::seconds(20)});
   // …an URGENT request displaces it…
-  auto urgent = server.submit(random_sample(2), std::chrono::seconds(5));
+  auto urgent =
+      server.submit(random_sample(2), {.deadline = std::chrono::seconds(5)});
   // …and a second lax request (deadline later than the queued urgent one)
   // is rejected outright.
-  auto rejected = server.submit(random_sample(3), std::chrono::seconds(30));
+  auto rejected =
+      server.submit(random_sample(3), {.deadline = std::chrono::seconds(30)});
 
   try {
     lax.get();
@@ -330,6 +416,27 @@ TEST(FailoverTest, SubmitAfterShutdownRejectsWithClearError) {
     EXPECT_NE(std::string(e.what()).find("shut down"), std::string::npos);
   }
   EXPECT_EQ(server.stats().aggregate.rejected, 1u);
+}
+
+TEST(FailoverTest, FaultDrillReplaysBitwiseAtAnyThreadBudget) {
+  nn::Network net = small_net();
+  const DrillResult healed = run_fault_drill(net, 1, /*recalibrate=*/true);
+  const DrillResult replay = run_fault_drill(net, 1, /*recalibrate=*/true);
+  const DrillResult wide = run_fault_drill(net, 4, /*recalibrate=*/true);
+  EXPECT_EQ(healed.fingerprint, replay.fingerprint);
+  EXPECT_EQ(healed.fingerprint, wide.fingerprint);
+
+  const DrillResult unhealed = run_fault_drill(net, 1, /*recalibrate=*/false);
+  const DrillResult unhealed_wide =
+      run_fault_drill(net, 4, /*recalibrate=*/false);
+  EXPECT_EQ(unhealed.fingerprint, unhealed_wide.fingerprint);
+
+  // Recalibration is what keeps the fleet's capacity: without it the last
+  // (degraded) chip's queue overflows in burst D.
+  EXPECT_EQ(healed.submitted, 28u);
+  EXPECT_EQ(unhealed.submitted, healed.submitted);
+  EXPECT_EQ(healed.completed, healed.submitted);
+  EXPECT_LT(unhealed.completed, healed.completed);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <memory>
 
@@ -17,6 +18,7 @@
 #include "nn/lowrank.hpp"
 #include "nn/optimizer.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/health.hpp"
 
 namespace gs::runtime {
 namespace {
@@ -240,6 +242,51 @@ TEST(NoisyForwardTest, TrainingIsBitwiseReproducible) {
     return dynamic_cast<nn::DenseLayer*>(net.find("fc"))->weight();
   };
   EXPECT_TRUE(bitwise_equal(run(), run()));
+}
+
+// A noisy fine-tune whose every GEMM (forward, dW, dx) exceeds the
+// tiny-product threshold and spans two row blocks, so it runs split across
+// the pooled kernel. The trained weights' checksum is recorded as the gtest
+// property `weights_checksum`; the thread_count_invariance ctest
+// (scripts/check_thread_count_invariance.py) runs this case at
+// GS_NUM_THREADS 1 and 4 and requires the two checksums to be equal.
+TEST(NoisyForwardTest, PooledFineTuneWeightsChecksum) {
+  constexpr std::size_t kBatch = 160;
+  Rng init(4);
+  nn::Network net;
+  net.add(std::make_unique<nn::DenseLayer>("fc1", 200, 150, init));
+  net.add(std::make_unique<nn::ReluLayer>("relu"));
+  net.add(std::make_unique<nn::DenseLayer>("fc2", 150, 10, init));
+  const Tensor initial =
+      dynamic_cast<nn::DenseLayer*>(net.find("fc1"))->weight();
+  {
+    const NoiseModel model(compile(net, Shape{200}, nonideal_options()),
+                           {.seed = 31, .resample_every = 1});
+    NoisyForward hook(net, model);
+    nn::SgdOptimizer opt({0.05f, 0.9f, 0.0f});
+    Rng rng(8);
+    for (int step = 0; step < 4; ++step) {
+      Tensor x(Shape{kBatch, 200});
+      x.fill_uniform(rng, -1.0f, 1.0f);
+      net.zero_grads();
+      net.forward(x, /*train=*/true);
+      Tensor grad(Shape{kBatch, 10});
+      grad.fill_uniform(rng, -0.1f, 0.1f);
+      net.backward(grad);
+      opt.step(net.params());
+    }
+  }
+  EXPECT_FALSE(bitwise_equal(
+      initial, dynamic_cast<nn::DenseLayer*>(net.find("fc1"))->weight()));
+
+  std::uint64_t hash = 0;
+  for (const nn::ParamRef& param : net.params()) {
+    hash = (hash ^ tensor_checksum(*param.value)) * 1099511628211ULL;
+  }
+  char hex[20];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(hash));
+  RecordProperty("weights_checksum", hex);
 }
 
 TEST(NoisyForwardTest, IdealDeviceInjectsOnlyFloatRoundtrip) {

@@ -201,6 +201,70 @@ TEST(ObservabilityTest, LogitsBitwiseIdenticalObservabilityOnAndOff) {
   }
 }
 
+// Tracing has a fixed, deterministic cost. With metrics on and every
+// request traced, each request records the same request-level spans
+// whatever batch it rides in; each executed batch adds one set of
+// execution-detail spans (step/stage) to its first traced request; and the
+// registry grows no per-request children. The counts are pinned, so a
+// change that records more per request fails here instead of drifting the
+// wall-clock overhead in BENCH_runtime.json.
+TEST(ObservabilityTest, TracingCostIsFixedSpansPerRequestAndBatch) {
+  // request, submit, queue, batch, execute, reply.
+  constexpr std::size_t kRequestSpans = 6;
+  // step:fc and stage:fc — the small net compiles to one crossbar step.
+  constexpr std::size_t kDetailSpans = 2;
+  const auto is_detail = [](const obs::SpanRecord& span) {
+    return span.name.rfind("step:", 0) == 0 ||
+           span.name.rfind("stage:", 0) == 0;
+  };
+
+  nn::Network net = small_net();
+  obs::Registry registry;
+  ShardConfig config;
+  config.replicas = 1;
+  config.batching.max_batch = 8;
+  config.batching.observability.registry = &registry;
+  config.batching.observability.trace_sample_every = 1;
+  config.batching.observability.trace_keep = 64;
+  ShardedServer server(net, Shape{64}, CompileOptions{}, config);
+
+  (void)server.infer(random_sample(0));
+  const std::size_t children_after_one = registry.snapshot().size();
+
+  // Fifteen more requests in batches of 8, 4, 1, 1 and 1.
+  server.set_paused(true);
+  std::vector<std::future<Tensor>> burst;
+  for (std::uint64_t s = 1; s <= 12; ++s) {
+    burst.push_back(server.submit(random_sample(s)));
+  }
+  server.set_paused(false);
+  for (auto& f : burst) (void)f.get();
+  for (std::uint64_t s = 13; s < 16; ++s) (void)server.infer(random_sample(s));
+  server.shutdown();
+
+  const ShardStats stats = server.stats();
+  ASSERT_EQ(stats.aggregate.completed, 16u);
+  EXPECT_EQ(stats.aggregate.batches, 6u);
+  EXPECT_EQ(stats.aggregate.max_batch_seen, 8u);
+  const auto traces = server.tracer()->completed();
+  ASSERT_EQ(traces.size(), 16u);
+  std::size_t detailed = 0;
+  for (const auto& trace : traces) {
+    const auto spans = trace->spans();
+    const auto detail = static_cast<std::size_t>(
+        std::count_if(spans.begin(), spans.end(), is_detail));
+    EXPECT_EQ(spans.size() - detail, kRequestSpans)
+        << "request " << trace->request_id();
+    EXPECT_TRUE(detail == 0 || detail == kDetailSpans)
+        << "request " << trace->request_id() << " holds " << detail;
+    if (detail != 0) ++detailed;
+  }
+  EXPECT_EQ(detailed, stats.aggregate.batches);
+  EXPECT_EQ(registry.counter("gs_trace_spans_total", "").value(),
+            kRequestSpans * 16 + kDetailSpans * stats.aggregate.batches);
+  EXPECT_EQ(registry.snapshot().size(), children_after_one);
+}
+
 TEST(ObservabilityTest, RerouteAnnotatedAndSpanTreesWellFormedUnderQuarantine) {
   nn::Network net = small_net();
   const CrossbarProgram reference = compile(net, Shape{64});

@@ -157,7 +157,8 @@ TEST(BatchingServerTest, AdmissionControlRejectsPredictedDeadlineMisses) {
   config.max_delay = std::chrono::microseconds(200);
   BatchingServer server(fx.executor, config);
 
-  auto doomed = server.submit(sample(1), std::chrono::milliseconds(1));
+  auto doomed =
+      server.submit(sample(1), {.deadline = std::chrono::milliseconds(1)});
   try {
     doomed.get();
     FAIL() << "expected an admission rejection";
@@ -165,7 +166,9 @@ TEST(BatchingServerTest, AdmissionControlRejectsPredictedDeadlineMisses) {
     EXPECT_NE(std::string(e.what()).find("admission"), std::string::npos);
   }
   // Generous deadline → admitted; no deadline → nothing to predict.
-  EXPECT_EQ(server.submit(sample(2), std::chrono::seconds(10)).get().numel(),
+  EXPECT_EQ(server.submit(sample(2), {.deadline = std::chrono::seconds(10)})
+                .get()
+                .numel(),
             10u);
   EXPECT_EQ(server.infer(sample(3)).numel(), 10u);
 
@@ -187,9 +190,11 @@ TEST(BatchingServerTest, FullQueueShedsByDeadlinePriority) {
   // A no-deadline request holds the only slot…
   auto lax = server.submit(sample(1));
   // …an urgent request displaces it (earlier deadline wins the slot)…
-  auto urgent = server.submit(sample(2), std::chrono::seconds(5));
+  auto urgent =
+      server.submit(sample(2), {.deadline = std::chrono::seconds(5)});
   // …and a later-deadline request bounces off the full queue.
-  auto bounced = server.submit(sample(3), std::chrono::seconds(30));
+  auto bounced =
+      server.submit(sample(3), {.deadline = std::chrono::seconds(30)});
 
   try {
     lax.get();
@@ -280,7 +285,7 @@ TEST(BatchingServerTest, AdmissionEwmaSafeUnderConcurrentCompletions) {
         // Generous deadline: admission predicts against the live EWMA but
         // never rejects, so every request exercises read + write.
         auto f = server.submit(sample(c * kPerClient + i),
-                               std::chrono::seconds(30));
+                               {.deadline = std::chrono::seconds(30)});
         if (f.get().numel() == 10u) served.fetch_add(1);
       }
     });
