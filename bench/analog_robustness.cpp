@@ -20,8 +20,6 @@
 #include "common/string_util.hpp"
 #include "data/batcher.hpp"
 #include "hw/analog.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/dense.hpp"
 #include "nn/trainer.hpp"
 
 namespace gs {
@@ -36,23 +34,12 @@ double apply_analog(nn::Network& net, const hw::TechnologyParams& tech,
     worst_rms = std::max(worst_rms, hw::weight_rms_error(ideal, effective));
   };
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    nn::Layer& layer = net.layer(i);
-    const auto map_matrix = [&](Tensor& w) {
+    for (const nn::WeightMatrix& m : net.layer(i).weight_matrices()) {
+      Tensor& w = *m.value;
       const hw::TileGrid grid = hw::make_tile_grid(w.rows(), w.cols(), tech);
       Tensor effective = hw::analog_effective_matrix(w, grid, params);
       track(w, effective);
       w = std::move(effective);
-    };
-    if (auto* f = dynamic_cast<nn::FactorizedLayer*>(&layer)) {
-      Tensor u = f->factor_u();
-      Tensor vt = f->factor_vt();
-      map_matrix(u);
-      map_matrix(vt);
-      f->set_factors(std::move(u), std::move(vt));
-    } else if (auto* d = dynamic_cast<nn::DenseLayer*>(&layer)) {
-      map_matrix(d->weight());
-    } else if (auto* c = dynamic_cast<nn::Conv2dLayer*>(&layer)) {
-      map_matrix(c->weight());
     }
   }
   return worst_rms;

@@ -46,8 +46,6 @@
 #include "bench_util.hpp"
 #include "common/check.hpp"
 #include "trace_replay.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/dense.hpp"
 #include "nn/trainer.hpp"
 #include "obs/exec_profile.hpp"
 #include "obs/metrics.hpp"
@@ -207,12 +205,14 @@ int main(int argc, char** argv) {
   // so 8/10 conv2 tiles and 120/160 fc1 tiles end up completely empty —
   // then a masked fine-tune recovers accuracy with the wires gone.
   const auto apply_masks = [](nn::Network& n) {
-    auto* conv2 = dynamic_cast<nn::Conv2dLayer*>(n.find("conv2"));
-    auto* fc1 = dynamic_cast<nn::DenseLayer*>(n.find("fc1"));
-    GS_CHECK_MSG(conv2 != nullptr && fc1 != nullptr,
-                 "deleted-lenet section expects conv2/fc1 layers");
-    zero_rows(conv2->weight(), 100, 500);
-    zero_rows(fc1->weight(), 200, 800);
+    const nn::Layer* conv2 = n.find("conv2");
+    const nn::Layer* fc1 = n.find("fc1");
+    GS_CHECK_MSG(conv2 != nullptr && fc1 != nullptr &&
+                     conv2->weight_matrices().size() == 1 &&
+                     fc1->weight_matrices().size() == 1,
+                 "deleted-lenet section expects plain conv2/fc1 layers");
+    zero_rows(*conv2->weight_matrices().front().value, 100, 500);
+    zero_rows(*fc1->weight_matrices().front().value, 200, 800);
   };
   // Masked SGD at 0.3× the LeNet rate (a gentle recovery phase).
   const auto masked_train = [&](nn::Network& n, std::uint64_t batch_seed) {

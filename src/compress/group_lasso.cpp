@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/dense.hpp"
 
 namespace gs::compress {
 
@@ -33,17 +31,8 @@ GroupLassoRegularizer::GroupLassoRegularizer(nn::Network& net,
   };
 
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    nn::Layer& layer = net.layer(i);
-    if (auto* f = dynamic_cast<nn::FactorizedLayer*>(&layer)) {
-      add_target(&f->mutable_u(), &f->mutable_u_grad(),
-                 f->factor_name() + "_u");
-      add_target(&f->mutable_vt(), &f->mutable_vt_grad(),
-                 f->factor_name() + "_v");
-    } else if (auto* d = dynamic_cast<nn::DenseLayer*>(&layer)) {
-      // Grad tensor is the first params() entry (the weight).
-      add_target(&d->weight(), d->params()[0].grad, d->name());
-    } else if (auto* c = dynamic_cast<nn::Conv2dLayer*>(&layer)) {
-      add_target(&c->weight(), c->params()[0].grad, c->name());
+    for (const nn::WeightMatrix& m : net.layer(i).weight_matrices()) {
+      add_target(m.value, m.grad, m.name);
     }
   }
 

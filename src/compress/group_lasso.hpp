@@ -4,9 +4,10 @@
 //   E(W) = E_D(W) + λ·( Σ_g ||W_g^(r)|| + Σ_g ||W_g^(c)|| )
 // where the row/column groups are exactly the wire groups of the crossbar
 // tiling (hw/tiling.hpp). Regularisation targets are all weight matrices
-// that span more than one crossbar: both factors (U, Vᵀ) of factorised
-// layers and the plain weights of dense/conv layers (the paper's fc_last
-// rows in Table 3 come from the unfactorised classifier).
+// (Layer::weight_matrices()) that span more than one crossbar: both factors
+// (U, Vᵀ) of factorised layers and the plain weights of dense/conv layers
+// (the paper's fc_last rows in Table 3 come from the unfactorised
+// classifier).
 //
 // Two mechanisms are provided:
 //  * kGradient — Eq. (6): adds λ·w/||W_g|| to the gradient of every weight

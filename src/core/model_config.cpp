@@ -170,11 +170,8 @@ ParsedModel parse_model(std::istream& in, Rng& rng) {
         const std::size_t rank =
             attrs.get_size("rank", spec.out_channels);  // full rank default
         attrs.check_all_used();
-        added = model.network.add(std::make_unique<nn::LowRankConv2d>(
-            name,
-            nn::LowRankConv2d::Spec{spec.in_channels, spec.out_channels,
-                                    spec.kernel, spec.stride, spec.pad},
-            rank, rng));
+        added = model.network.add(
+            std::make_unique<nn::LowRankConv2d>(name, spec, rank, rng));
       }
       shape = added->output_shape(shape);
     } else if (kind == "pool") {

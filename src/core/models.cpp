@@ -93,12 +93,9 @@ nn::Network to_lowrank(const nn::Network& source, const FactorizeSpec& spec) {
       }
       linalg::LowRankFactors f =
           factorize_weight(conv->weight(), spec, conv->name());
-      const nn::Conv2dSpec& cs = conv->spec();
       out.add(std::make_unique<nn::LowRankConv2d>(
-          conv->name(),
-          nn::LowRankConv2d::Spec{cs.in_channels, cs.out_channels, cs.kernel,
-                                  cs.stride, cs.pad},
-          std::move(f.u), std::move(f.vt), conv->bias()));
+          conv->name(), conv->spec(), std::move(f.u), std::move(f.vt),
+          conv->bias()));
     } else if (auto* dense = dynamic_cast<const nn::DenseLayer*>(&layer)) {
       if (spec.keep_dense.count(dense->name()) > 0) {
         out.add(std::make_unique<nn::DenseLayer>(*dense));

@@ -5,8 +5,6 @@
 #include "common/check.hpp"
 #include "common/string_util.hpp"
 #include "hw/tiling.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/dense.hpp"
 
 namespace gs::core {
 
@@ -52,22 +50,16 @@ NcsReport build_ncs_report(nn::Network& net, const hw::TechnologyParams& tech,
   tech.validate();
   NcsReport report;
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    nn::Layer& layer = net.layer(i);
-    if (auto* f = dynamic_cast<nn::FactorizedLayer*>(&layer)) {
-      report.matrices.push_back(report_matrix(
-          f->factor_name() + "_u", f->factor_u(), tech, policy, zero_tol));
-      report.matrices.push_back(report_matrix(
-          f->factor_name() + "_v", f->factor_vt(), tech, policy, zero_tol));
-      report.dense_baseline_cells += f->full_rows() * f->full_cols();
-    } else if (auto* d = dynamic_cast<nn::DenseLayer*>(&layer)) {
+    const std::vector<nn::WeightMatrix> matrices =
+        net.layer(i).weight_matrices();
+    if (matrices.empty()) continue;
+    for (const nn::WeightMatrix& m : matrices) {
       report.matrices.push_back(
-          report_matrix(d->name(), d->weight(), tech, policy, zero_tol));
-      report.dense_baseline_cells += d->weight().numel();
-    } else if (auto* c = dynamic_cast<nn::Conv2dLayer*>(&layer)) {
-      report.matrices.push_back(
-          report_matrix(c->name(), c->weight(), tech, policy, zero_tol));
-      report.dense_baseline_cells += c->weight().numel();
+          report_matrix(m.name, *m.value, tech, policy, zero_tol));
     }
+    // The unfactorised N×M matrix the layer would map without clipping.
+    report.dense_baseline_cells +=
+        matrices.front().value->rows() * matrices.back().value->cols();
   }
   for (const MatrixReport& m : report.matrices) {
     report.total_cells += m.cells;

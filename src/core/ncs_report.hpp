@@ -109,9 +109,9 @@ struct NcsReport {
   double mean_routing_area_ratio() const;
 };
 
-/// Builds the report by walking every weight matrix of `net`:
-/// factorised layers contribute U and Vᵀ; dense/conv layers contribute
-/// their weight. `zero_tol` is the |w| threshold for the wire census.
+/// Builds the report by walking every weight matrix of `net`
+/// (Layer::weight_matrices(): U and Vᵀ of a factorised layer, the weight of
+/// a dense/conv layer). `zero_tol` is the |w| threshold for the wire census.
 NcsReport build_ncs_report(nn::Network& net, const hw::TechnologyParams& tech,
                            hw::MappingPolicy policy =
                                hw::MappingPolicy::kDivisorExact,

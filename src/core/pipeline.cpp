@@ -4,8 +4,6 @@
 #include <vector>
 
 #include "common/log.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/dense.hpp"
 #include "nn/trainer.hpp"
 #include "obs/exec_profile.hpp"
 #include "runtime/executor.hpp"
@@ -44,14 +42,8 @@ struct FrozenMasks {
 FrozenMasks freeze_zero_masks(nn::Network& net) {
   FrozenMasks masks;
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    nn::Layer& layer = net.layer(i);
-    if (auto* f = dynamic_cast<nn::FactorizedLayer*>(&layer)) {
-      masks.freeze(f->mutable_u());
-      masks.freeze(f->mutable_vt());
-    } else if (auto* d = dynamic_cast<nn::DenseLayer*>(&layer)) {
-      masks.freeze(d->weight());
-    } else if (auto* c = dynamic_cast<nn::Conv2dLayer*>(&layer)) {
-      masks.freeze(c->weight());
+    for (const nn::WeightMatrix& m : net.layer(i).weight_matrices()) {
+      masks.freeze(*m.value);
     }
   }
   return masks;

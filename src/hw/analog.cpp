@@ -215,18 +215,21 @@ void AnalogCrossbar::matvec_panel(const double* panel, std::size_t n,
                        panel, y, ldy);
 }
 
+double full_scale_weight(const Tensor& w) {
+  double w_max = 1e-6;
+  for (std::size_t i = 0; i < w.numel(); ++i) {
+    w_max = std::max(w_max, static_cast<double>(std::fabs(w[i])));
+  }
+  return w_max;
+}
+
 Tensor analog_effective_matrix(const Tensor& m, const TileGrid& grid,
                                const AnalogParams& params) {
   GS_CHECK(m.rank() == 2 && m.rows() == grid.rows && m.cols() == grid.cols);
   params.validate();
   Rng rng(params.seed);
 
-  // Full-scale weight shared across tiles of the matrix (a per-matrix DAC
-  // reference): the maximum |w|, floored to avoid a zero range.
-  double w_max = 1e-6;
-  for (std::size_t i = 0; i < m.numel(); ++i) {
-    w_max = std::max(w_max, static_cast<double>(std::fabs(m[i])));
-  }
+  const double w_max = full_scale_weight(m);
 
   Tensor effective(m.shape());
   for (std::size_t tr = 0; tr < grid.grid_rows(); ++tr) {

@@ -131,9 +131,17 @@ class AnalogCrossbar {
   Tensor effective_; // P×Q weight units
 };
 
+/// The full-scale weight every tile of one matrix is programmed against (the
+/// per-matrix DAC reference, AnalogCrossbar's `w_max`): max |w|, floored at
+/// 1e-6 so an all-zero matrix keeps a nonzero range. analog_effective_matrix,
+/// runtime::compile() and the training-time noise model all take it from
+/// here, so their programming agrees bitwise.
+double full_scale_weight(const Tensor& w);
+
 /// Maps a whole weight matrix through tiled analog crossbars and returns the
 /// effective weight matrix (same shape) realised by the nonideal hardware.
-/// Each tile of `grid` is programmed as an independent AnalogCrossbar.
+/// Each tile of `grid` is programmed as an independent AnalogCrossbar, all
+/// against the matrix's full_scale_weight.
 Tensor analog_effective_matrix(const Tensor& m, const TileGrid& grid,
                                const AnalogParams& params);
 

@@ -7,8 +7,10 @@
 //    the paper's crossbar mapper consumes matrices (DESIGN.md §1);
 //  * conv weights: unrolled (C·kh·kw, F), same orientation.
 //
-// forward() caches whatever backward() needs; backward() must be called at
-// most once per forward() and returns the gradient w.r.t. the layer input.
+// A train-mode forward() caches whatever backward() needs; backward() must
+// be called at most once per train forward() and returns the gradient
+// w.r.t. the layer input. An eval-mode forward() of a weight layer keeps no
+// cache, so a backward() after it throws (nn/weight_path.hpp).
 #pragma once
 
 #include <string>
@@ -23,6 +25,16 @@ struct ParamRef {
   Tensor* value = nullptr;
   Tensor* grad = nullptr;
   std::string name;
+};
+
+/// A named view of one crossbar weight matrix and its gradient: the (in,
+/// out) matrix the hardware mapper tiles onto crossbars (the unrolled
+/// (C·kh·kw, F) view for a conv layer). Like ParamRef it points into the
+/// layer's live storage, so writes through it change the layer.
+struct WeightMatrix {
+  std::string name;  ///< "fc1", or "fc1_u" / "fc1_v" for a factorised layer
+  Tensor* value = nullptr;
+  Tensor* grad = nullptr;
 };
 
 /// Abstract differentiable layer.
@@ -40,6 +52,13 @@ class Layer {
 
   /// Learnable parameters; empty for stateless layers.
   virtual std::vector<ParamRef> params() { return {}; }
+
+  /// The matrices this layer maps onto crossbars, in execution order: one
+  /// for a plain layer, U then Vᵀ for a factorised one, none for a
+  /// stateless layer. The one source of compile()'s stage names, the NCS
+  /// report's matrix names and the group-Lasso targets. Const so that const
+  /// callers (compile()) can enumerate; the views stay writable.
+  virtual std::vector<WeightMatrix> weight_matrices() const { return {}; }
 
   /// Human-readable layer name (diagnostics / parameter naming).
   virtual std::string name() const = 0;

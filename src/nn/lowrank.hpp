@@ -3,18 +3,15 @@
 // A factorised layer holds W ≈ U·Vᵀ as two trainable matrices:
 //   U : (N, K)  and  Vᵀ : (K, M),   N = fan-in, M = fan-out.
 // Forward is two back-to-back linear stages with no nonlinearity between
-// them, i.e. exactly the two interconnected crossbar arrays of Figure 4.
+// them, i.e. exactly the two interconnected crossbar arrays of Figure 4 —
+// the two-matrix form of the shared weight path (nn/weight_path.hpp).
 // Rank clipping (Algorithm 2) re-factorises U mid-training and *shrinks K in
 // place* via set_factors(); group connection deletion applies group-Lasso
 // regularisation to both factors.
 #pragma once
 
-#include <vector>
-
 #include "common/rng.hpp"
-#include "linalg/compressed.hpp"
-#include "nn/layer.hpp"
-#include "tensor/im2col.hpp"
+#include "nn/weight_path.hpp"
 
 namespace gs::nn {
 
@@ -24,29 +21,35 @@ class FactorizedLayer {
  public:
   virtual ~FactorizedLayer() = default;
 
-  virtual const Tensor& factor_u() const = 0;   ///< (N, K)
-  virtual const Tensor& factor_vt() const = 0;  ///< (K, M)
-  virtual Tensor& mutable_u() = 0;
-  virtual Tensor& mutable_vt() = 0;
+  const Tensor& factor_u() const { return factors().matrix(0); }   ///< (N, K)
+  const Tensor& factor_vt() const { return factors().matrix(1); }  ///< (K, M)
+  Tensor& mutable_u() { return factors().matrix(0); }
+  Tensor& mutable_vt() { return factors().matrix(1); }
   /// Gradient accumulators of the factors (regulariser entry points).
-  virtual Tensor& mutable_u_grad() = 0;
-  virtual Tensor& mutable_vt_grad() = 0;
+  Tensor& mutable_u_grad() { return factors().matrix_grad(0); }
+  Tensor& mutable_vt_grad() { return factors().matrix_grad(1); }
 
   /// Replaces both factors; the new pair may have a different rank K but
-  /// must keep N and M. Gradient buffers are resized to match.
-  virtual void set_factors(Tensor u, Tensor vt) = 0;
+  /// must keep N and M. Gradient buffers are resized to match, and the
+  /// compressed panels are cleared.
+  void set_factors(Tensor u, Tensor vt);
 
-  virtual std::size_t full_rows() const = 0;  ///< N (fan-in)
-  virtual std::size_t full_cols() const = 0;  ///< M (fan-out)
+  std::size_t full_rows() const { return factors().in_features(); }   ///< N
+  std::size_t full_cols() const { return factors().out_features(); }  ///< M
   std::size_t current_rank() const { return factor_vt().rows(); }
-  virtual std::string factor_name() const = 0;
+  std::string factor_name() const { return factors().name(); }
 
   /// U·Vᵀ — the effective dense weight this layer realises.
   Tensor effective_weight() const;
+
+ protected:
+  /// The host layer's two-matrix path {U, Vᵀ}.
+  virtual WeightPath& factors() = 0;
+  virtual const WeightPath& factors() const = 0;
 };
 
 /// Fully-connected low-rank layer: y = (x·U)·Vᵀ + b.
-class LowRankDense final : public Layer, public FactorizedLayer {
+class LowRankDense final : public WeightLayer, public FactorizedLayer {
  public:
   /// Random (He/Xavier) initialisation at the given starting rank.
   LowRankDense(std::string name, std::size_t in_features,
@@ -56,119 +59,24 @@ class LowRankDense final : public Layer, public FactorizedLayer {
   /// dense layer).
   LowRankDense(std::string name, Tensor u, Tensor vt, Tensor bias);
 
-  // Layer:
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::vector<ParamRef> params() override;
-  std::string name() const override { return name_; }
-  Shape output_shape(const Shape& input_shape) const override;
-
-  // FactorizedLayer:
-  const Tensor& factor_u() const override { return u_; }
-  const Tensor& factor_vt() const override { return vt_; }
-  Tensor& mutable_u() override { return u_; }
-  Tensor& mutable_vt() override { return vt_; }
-  Tensor& mutable_u_grad() override { return u_grad_; }
-  Tensor& mutable_vt_grad() override { return vt_grad_; }
-  void set_factors(Tensor u, Tensor vt) override;
-  std::size_t full_rows() const override { return in_; }
-  std::size_t full_cols() const override { return out_; }
-  std::string factor_name() const override { return name_; }
-
-  Tensor& bias() { return bias_; }
-  const Tensor& bias() const { return bias_; }
-
-  /// Block-compressed inference panels over BOTH factors (group deletion
-  /// zeroes rows of U — deleted input wires — and columns of Vᵀ — deleted
-  /// output wires). Snapshot semantics as DenseLayer::pack_compressed;
-  /// set_factors() invalidates the panels automatically.
-  void pack_compressed(float tol = 0.0f);
-  void clear_compressed();
-  bool compressed() const { return compressed_; }
-
- private:
-  std::string name_;
-  std::size_t in_;
-  std::size_t out_;
-  Tensor u_;        // (in, K)
-  Tensor vt_;       // (K, out)
-  Tensor bias_;     // (out)
-  Tensor u_grad_;
-  Tensor vt_grad_;
-  Tensor bias_grad_;
-  Tensor cached_input_;   // (B, in)
-  Tensor cached_hidden_;  // (B, K)
-  linalg::CompressedPanel u_panel_;   // eval-only snapshots of the factors
-  linalg::CompressedPanel vt_panel_;
-  bool compressed_ = false;
+ protected:
+  WeightPath& factors() override { return path_; }
+  const WeightPath& factors() const override { return path_; }
 };
 
 /// Convolutional low-rank layer: a K-filter convolution (Vᵀ of the *unrolled*
 /// weight acts as U of the first stage) followed by a 1×1 convolution.
 /// Stored factors keep the (in, out) orientation of the unrolled weight:
 /// U (C·kh·kw, K), Vᵀ (K, F).
-class LowRankConv2d final : public Layer, public FactorizedLayer {
+class LowRankConv2d final : public ConvWeightLayer, public FactorizedLayer {
  public:
-  struct Spec {
-    std::size_t in_channels = 0;
-    std::size_t out_channels = 0;
-    std::size_t kernel = 0;
-    std::size_t stride = 1;
-    std::size_t pad = 0;
-  };
+  LowRankConv2d(std::string name, Conv2dSpec spec, std::size_t rank, Rng& rng);
+  LowRankConv2d(std::string name, Conv2dSpec spec, Tensor u, Tensor vt,
+                Tensor bias);
 
-  LowRankConv2d(std::string name, Spec spec, std::size_t rank, Rng& rng);
-  LowRankConv2d(std::string name, Spec spec, Tensor u, Tensor vt, Tensor bias);
-
-  // Layer:
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::vector<ParamRef> params() override;
-  std::string name() const override { return name_; }
-  Shape output_shape(const Shape& input_shape) const override;
-
-  // FactorizedLayer:
-  const Tensor& factor_u() const override { return u_; }
-  const Tensor& factor_vt() const override { return vt_; }
-  Tensor& mutable_u() override { return u_; }
-  Tensor& mutable_vt() override { return vt_; }
-  Tensor& mutable_u_grad() override { return u_grad_; }
-  Tensor& mutable_vt_grad() override { return vt_grad_; }
-  void set_factors(Tensor u, Tensor vt) override;
-  std::size_t full_rows() const override { return patch_; }
-  std::size_t full_cols() const override { return spec_.out_channels; }
-  std::string factor_name() const override { return name_; }
-
-  const Spec& spec() const { return spec_; }
-  Tensor& bias() { return bias_; }
-  const Tensor& bias() const { return bias_; }
-
-  /// Block-compressed inference panels over both factors — see
-  /// LowRankDense::pack_compressed. set_factors() invalidates them.
-  void pack_compressed(float tol = 0.0f);
-  void clear_compressed();
-  bool compressed() const { return compressed_; }
-
- private:
-  std::string name_;
-  Spec spec_;
-  std::size_t patch_;  // C·kh·kw
-  Tensor u_;           // (patch, K)
-  Tensor vt_;          // (K, F)
-  Tensor bias_;        // (F)
-  Tensor u_grad_;
-  Tensor vt_grad_;
-  Tensor bias_grad_;
-  linalg::CompressedPanel u_panel_;   // eval-only snapshots of the factors
-  linalg::CompressedPanel vt_panel_;
-  bool compressed_ = false;
-
-  ConvGeometry geometry_;
-  std::vector<Tensor> cached_cols_;    // per-sample (oh·ow, patch)
-  std::vector<Tensor> cached_hidden_;  // per-sample (oh·ow, K)
-  std::size_t cached_batch_ = 0;
-
-  ConvGeometry make_geometry(const Shape& chw) const;
+ protected:
+  WeightPath& factors() override { return path_; }
+  const WeightPath& factors() const override { return path_; }
 };
 
 }  // namespace gs::nn

@@ -1,8 +1,6 @@
 #include "nn/network.hpp"
 
 #include "common/check.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/dense.hpp"
 
 namespace gs::nn {
 
@@ -95,18 +93,8 @@ std::size_t Network::parameter_count() {
 std::size_t pack_compressed_inference(Network& net, float tol) {
   std::size_t packed = 0;
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    Layer* layer = &net.layer(i);
-    if (auto* d = dynamic_cast<DenseLayer*>(layer)) {
-      d->pack_compressed(tol);
-      ++packed;
-    } else if (auto* lr = dynamic_cast<LowRankDense*>(layer)) {
-      lr->pack_compressed(tol);
-      ++packed;
-    } else if (auto* c = dynamic_cast<Conv2dLayer*>(layer)) {
-      c->pack_compressed(tol);
-      ++packed;
-    } else if (auto* lc = dynamic_cast<LowRankConv2d*>(layer)) {
-      lc->pack_compressed(tol);
+    if (auto* w = dynamic_cast<WeightLayer*>(&net.layer(i))) {
+      w->pack_compressed(tol);
       ++packed;
     }
   }
@@ -116,18 +104,8 @@ std::size_t pack_compressed_inference(Network& net, float tol) {
 std::size_t clear_compressed_inference(Network& net) {
   std::size_t cleared = 0;
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    Layer* layer = &net.layer(i);
-    if (auto* d = dynamic_cast<DenseLayer*>(layer)) {
-      d->clear_compressed();
-      ++cleared;
-    } else if (auto* lr = dynamic_cast<LowRankDense*>(layer)) {
-      lr->clear_compressed();
-      ++cleared;
-    } else if (auto* c = dynamic_cast<Conv2dLayer*>(layer)) {
-      c->clear_compressed();
-      ++cleared;
-    } else if (auto* lc = dynamic_cast<LowRankConv2d*>(layer)) {
-      lc->clear_compressed();
+    if (auto* w = dynamic_cast<WeightLayer*>(&net.layer(i))) {
+      w->clear_compressed();
       ++cleared;
     }
   }

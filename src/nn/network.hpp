@@ -86,7 +86,7 @@ class Network {
 };
 
 /// Packs block-compressed inference panels (linalg/compressed.hpp) on every
-/// dense, conv, and low-rank layer of `net`; eval-mode forwards then run the
+/// crossbar layer (WeightLayer) of `net`; eval-mode forwards then run the
 /// compress-then-multiply path over the live rows/columns group deletion
 /// left behind. Returns the number of layers packed. The panels snapshot the
 /// CURRENT weights — re-pack (or clear) after any weight mutation; training

@@ -6,9 +6,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/dense.hpp"
-#include "nn/lowrank.hpp"
 
 namespace gs::runtime {
 
@@ -75,28 +72,13 @@ namespace {
 /// Live weight tensor of the matrix `stage` lowers, resolved on the layer
 /// the program compiled it from.
 Tensor* resolve_stage_weight(nn::Network& net, const NoiseModel::Stage& stage) {
-  nn::Layer& layer = net.layer(stage.layer_index);
-  if (stage.stages_in_step == 2) {
-    auto* f = dynamic_cast<nn::FactorizedLayer*>(&layer);
-    GS_CHECK_MSG(f != nullptr, "noise stage '"
-                                   << stage.name << "': layer '"
-                                   << layer.name() << "' is not factorised");
-    return stage.stage_index == 0 ? &f->mutable_u() : &f->mutable_vt();
-  }
-  if (auto* d = dynamic_cast<nn::DenseLayer*>(&layer)) return &d->weight();
-  if (auto* c = dynamic_cast<nn::Conv2dLayer*>(&layer)) return &c->weight();
-  GS_CHECK_MSG(false, "noise stage '" << stage.name << "': layer '"
-                                      << layer.name()
-                                      << "' holds no weight matrix");
-  return nullptr;
-}
-
-double max_abs_weight(const Tensor& w) {
-  double w_max = 1e-6;  // same floor as compile()'s make_plan
-  for (std::size_t i = 0; i < w.numel(); ++i) {
-    w_max = std::max(w_max, static_cast<double>(std::fabs(w[i])));
-  }
-  return w_max;
+  const nn::Layer& layer = net.layer(stage.layer_index);
+  const std::vector<nn::WeightMatrix> matrices = layer.weight_matrices();
+  GS_CHECK_MSG(matrices.size() == stage.stages_in_step &&
+                   matrices[stage.stage_index].name == stage.name,
+               "noise stage '" << stage.name << "': layer '" << layer.name()
+                               << "' does not hold that matrix");
+  return matrices[stage.stage_index].value;
 }
 
 }  // namespace
@@ -147,7 +129,7 @@ void NoisyForward::on_forward_begin(nn::Network& net, Tensor& input) {
   const std::uint64_t chip = realisation();
   for (Target& target : targets_) {
     target.clean = *target.weight;  // copy: the layer keeps a live tensor
-    target.w_max = max_abs_weight(target.clean);
+    target.w_max = hw::full_scale_weight(target.clean);
     *target.weight =
         model_->sample_effective(target.stage->name, target.clean, chip);
   }

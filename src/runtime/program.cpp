@@ -5,11 +5,9 @@
 
 #include "common/check.hpp"
 #include "nn/activations.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/dense.hpp"
 #include "nn/dropout.hpp"
-#include "nn/lowrank.hpp"
 #include "nn/pool2d.hpp"
+#include "nn/weight_path.hpp"
 #include "runtime/lane_quantizer.hpp"
 
 namespace gs::runtime {
@@ -223,10 +221,7 @@ MatrixPlan make_plan(std::string name, const Tensor& w,
   plan.grid =
       hw::make_tile_grid(w.rows(), w.cols(), options.tech, options.policy);
 
-  plan.w_max = 1e-6;
-  for (std::size_t i = 0; i < w.numel(); ++i) {
-    plan.w_max = std::max(plan.w_max, static_cast<double>(std::fabs(w[i])));
-  }
+  plan.w_max = hw::full_scale_weight(w);
 
   // Occupancy of the source matrix: the empty tiles produced by group
   // connection deletion are the skip (or removal) candidates.
@@ -274,20 +269,6 @@ MatrixPlan make_plan(std::string name, const Tensor& w,
   return plan;
 }
 
-ConvGeometry make_conv_geometry(const Shape& chw, std::size_t kernel,
-                                std::size_t stride, std::size_t pad) {
-  GS_CHECK_MSG(chw.size() == 3, "conv step needs a C×H×W input shape");
-  ConvGeometry g;
-  g.in_channels = chw[0];
-  g.in_height = chw[1];
-  g.in_width = chw[2];
-  g.kernel_h = g.kernel_w = kernel;
-  g.stride_h = g.stride_w = stride;
-  g.pad_h = g.pad_w = pad;
-  g.validate();
-  return g;
-}
-
 }  // namespace
 
 CrossbarProgram compile(const nn::Network& net, const Shape& sample_shape,
@@ -308,33 +289,15 @@ CrossbarProgram compile(const nn::Network& net, const Shape& sample_shape,
     step.name = layer.name();
     step.in_shape = shape;
 
-    if (const auto* d = dynamic_cast<const nn::DenseLayer*>(&layer)) {
-      step.kind = Step::Kind::kLinear;
-      step.stages.push_back(make_plan(d->name(), d->weight(), options));
-      step.bias = d->bias();
-    } else if (const auto* lr = dynamic_cast<const nn::LowRankDense*>(&layer)) {
-      step.kind = Step::Kind::kLinear;
-      step.stages.push_back(
-          make_plan(lr->factor_name() + "_u", lr->factor_u(), options));
-      step.stages.push_back(
-          make_plan(lr->factor_name() + "_v", lr->factor_vt(), options));
-      step.bias = lr->bias();
-    } else if (const auto* c = dynamic_cast<const nn::Conv2dLayer*>(&layer)) {
-      step.kind = Step::Kind::kConv;
-      step.geometry = make_conv_geometry(shape, c->spec().kernel,
-                                         c->spec().stride, c->spec().pad);
-      step.stages.push_back(make_plan(c->name(), c->weight(), options));
-      step.bias = c->bias();
-    } else if (const auto* lc =
-                   dynamic_cast<const nn::LowRankConv2d*>(&layer)) {
-      step.kind = Step::Kind::kConv;
-      step.geometry = make_conv_geometry(shape, lc->spec().kernel,
-                                         lc->spec().stride, lc->spec().pad);
-      step.stages.push_back(
-          make_plan(lc->factor_name() + "_u", lc->factor_u(), options));
-      step.stages.push_back(
-          make_plan(lc->factor_name() + "_v", lc->factor_vt(), options));
-      step.bias = lc->bias();
+    if (const auto* weighted = dynamic_cast<const nn::WeightLayer*>(&layer)) {
+      // One stage per crossbar matrix: W, or U then Vᵀ (Figure 4).
+      const auto* conv = dynamic_cast<const nn::ConvWeightLayer*>(weighted);
+      step.kind = conv != nullptr ? Step::Kind::kConv : Step::Kind::kLinear;
+      if (conv != nullptr) step.geometry = conv->geometry(shape);
+      for (const nn::WeightMatrix& m : weighted->weight_matrices()) {
+        step.stages.push_back(make_plan(m.name, *m.value, options));
+      }
+      step.bias = weighted->bias();
     } else if (const auto* p = dynamic_cast<const nn::Pool2dLayer*>(&layer)) {
       step.kind = p->mode() == nn::PoolMode::kMax ? Step::Kind::kMaxPool
                                                   : Step::Kind::kAvgPool;

@@ -137,9 +137,9 @@ struct ProgramTile {
 /// the same output slice and are accumulated in ascending tile-row order
 /// (skip-marked tiles drop out of the sum without disturbing that order).
 struct MatrixPlan {
-  std::string name;      ///< "fc1", "conv2_u", … (report naming)
+  std::string name;      ///< nn::WeightMatrix name: "fc1", "conv2_u", …
   hw::TileGrid grid;
-  double w_max = 0.0;    ///< shared full-scale weight (per-matrix DAC ref)
+  double w_max = 0.0;    ///< hw::full_scale_weight of the matrix (DAC ref)
   std::vector<ProgramTile> tiles;
   /// Occupancy of the source matrix at tolerance 0 (hw::summarize_occupancy)
   /// — recorded at compile so callers can query emptiness without rescans.

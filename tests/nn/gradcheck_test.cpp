@@ -127,7 +127,7 @@ TEST(GradCheck, LowRankDense) {
 
 TEST(GradCheck, LowRankConv2d) {
   Rng rng(13);
-  LowRankConv2d lr("lrc", LowRankConv2d::Spec{2, 4, 3, 1, 1}, 3, rng);
+  LowRankConv2d lr("lrc", Conv2dSpec{2, 4, 3, 1, 1}, 3, rng);
   check_layer_gradients(lr, random_input({2, 2, 5, 5}, 14));
 }
 

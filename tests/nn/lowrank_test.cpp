@@ -117,7 +117,7 @@ TEST(LowRankDense, BackwardMatchesComposedDenseLayers) {
 
 TEST(LowRankConv2d, FactorShapes) {
   Rng rng(9);
-  LowRankConv2d lr("conv2", LowRankConv2d::Spec{20, 50, 5, 1, 0}, 12, rng);
+  LowRankConv2d lr("conv2", Conv2dSpec{20, 50, 5, 1, 0}, 12, rng);
   EXPECT_EQ(lr.factor_u().shape(), (Shape{500, 12}));
   EXPECT_EQ(lr.factor_vt().shape(), (Shape{12, 50}));
   EXPECT_EQ(lr.full_rows(), 500u);
@@ -129,7 +129,7 @@ TEST(LowRankConv2d, ForwardMatchesDenseConvAtFullRank) {
   Conv2dLayer conv("conv", Conv2dSpec{2, 6, 3, 1, 1}, rng);
   const linalg::LraResult lra = linalg::low_rank_approximate(
       conv.weight(), linalg::LraMethod::kPca, 6);
-  LowRankConv2d lr("conv", LowRankConv2d::Spec{2, 6, 3, 1, 1}, lra.factors.u,
+  LowRankConv2d lr("conv", Conv2dSpec{2, 6, 3, 1, 1}, lra.factors.u,
                    lra.factors.vt, conv.bias());
 
   Tensor x(Shape{2, 2, 7, 7});
@@ -139,7 +139,7 @@ TEST(LowRankConv2d, ForwardMatchesDenseConvAtFullRank) {
 
 TEST(LowRankConv2d, BackwardShape) {
   Rng rng(11);
-  LowRankConv2d lr("conv", LowRankConv2d::Spec{3, 8, 3, 1, 1}, 4, rng);
+  LowRankConv2d lr("conv", Conv2dSpec{3, 8, 3, 1, 1}, 4, rng);
   Tensor x(Shape{2, 3, 9, 9});
   x.fill_gaussian(rng, 0.0f, 1.0f);
   lr.forward(x, true);
@@ -150,7 +150,7 @@ TEST(LowRankConv2d, BackwardShape) {
 
 TEST(LowRankConv2d, SetFactorsShrinksRank) {
   Rng rng(12);
-  LowRankConv2d lr("conv", LowRankConv2d::Spec{2, 6, 3, 1, 0}, 6, rng);
+  LowRankConv2d lr("conv", Conv2dSpec{2, 6, 3, 1, 0}, 6, rng);
   Tensor u(Shape{18, 2});
   u.fill_gaussian(rng, 0.0f, 1.0f);
   Tensor vt(Shape{2, 6});
@@ -163,7 +163,7 @@ TEST(LowRankConv2d, EquivalentToKFilterPlus1x1Composition) {
   // The factor pair is literally a K-filter conv followed by a 1×1 conv.
   Rng rng(13);
   const std::size_t K = 3;
-  LowRankConv2d lr("conv", LowRankConv2d::Spec{2, 5, 3, 1, 0}, K, rng);
+  LowRankConv2d lr("conv", Conv2dSpec{2, 5, 3, 1, 0}, K, rng);
 
   Conv2dLayer stage1("s1", Conv2dSpec{2, K, 3, 1, 0}, rng);
   stage1.weight() = lr.factor_u();

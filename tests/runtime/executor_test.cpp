@@ -95,7 +95,7 @@ TEST(ExecutorParityTest, LowRankConvLayer) {
     Rng rng(4);
     nn::Network net;
     net.add(std::make_unique<nn::LowRankConv2d>(
-        "conv", nn::LowRankConv2d::Spec{3, 12, 5, stride, 2}, 9, rng));
+        "conv", nn::Conv2dSpec{3, 12, 5, stride, 2}, 9, rng));
     for (const auto policy :
          {hw::MappingPolicy::kDivisorExact, hw::MappingPolicy::kPaddedMax}) {
       expect_parity(net, Shape{3, 14, 14}, 3, 1e-4f, policy, "lowrank conv");

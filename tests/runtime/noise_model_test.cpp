@@ -13,10 +13,12 @@
 
 #include "common/check.hpp"
 #include "nn/activations.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/dropout.hpp"
 #include "nn/lowrank.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/pool2d.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/health.hpp"
 
@@ -245,28 +247,41 @@ TEST(NoisyForwardTest, TrainingIsBitwiseReproducible) {
 }
 
 // A noisy fine-tune whose every GEMM (forward, dW, dx) exceeds the
-// tiny-product threshold and spans two row blocks, so it runs split across
-// the pooled kernel. The trained weights' checksum is recorded as the gtest
-// property `weights_checksum`; the thread_count_invariance ctest
+// tiny-product threshold, so it runs on the pooled kernel, and all but the
+// conv1 dW and conv2 dVᵀ products span two or more row blocks, so they split
+// across the pool: the dense layers at batch 160, and the conv and the
+// low-rank conv layers on each sample's patch matrix (256 and 144 rows).
+// It also covers the per-sample conv loop and NoisyForward's resolution of
+// conv and factorised stages. The trained weights' checksum is recorded as
+// the gtest property `weights_checksum`; the thread_count_invariance ctest
 // (scripts/check_thread_count_invariance.py) runs this case at
 // GS_NUM_THREADS 1 and 4 and requires the two checksums to be equal.
 TEST(NoisyForwardTest, PooledFineTuneWeightsChecksum) {
   constexpr std::size_t kBatch = 160;
+  const Shape sample{3, 20, 20};
   Rng init(4);
   nn::Network net;
-  net.add(std::make_unique<nn::DenseLayer>("fc1", 200, 150, init));
-  net.add(std::make_unique<nn::ReluLayer>("relu"));
+  net.add(std::make_unique<nn::Conv2dLayer>(
+      "conv1", nn::Conv2dSpec{3, 20, 5, 1, 0}, init));  // → 20×16×16
+  net.add(std::make_unique<nn::ReluLayer>("relu1"));
+  net.add(std::make_unique<nn::LowRankConv2d>(
+      "conv2", nn::Conv2dSpec{20, 32, 5, 1, 0}, 12, init));  // → 32×12×12
+  net.add(std::make_unique<nn::Pool2dLayer>("pool", nn::PoolMode::kMax, 2,
+                                            2));  // → 32×6×6
+  net.add(std::make_unique<nn::FlattenLayer>("flatten"));
+  net.add(std::make_unique<nn::DenseLayer>("fc1", 32 * 6 * 6, 150, init));
+  net.add(std::make_unique<nn::ReluLayer>("relu2"));
   net.add(std::make_unique<nn::DenseLayer>("fc2", 150, 10, init));
   const Tensor initial =
       dynamic_cast<nn::DenseLayer*>(net.find("fc1"))->weight();
   {
-    const NoiseModel model(compile(net, Shape{200}, nonideal_options()),
+    const NoiseModel model(compile(net, sample, nonideal_options()),
                            {.seed = 31, .resample_every = 1});
     NoisyForward hook(net, model);
     nn::SgdOptimizer opt({0.05f, 0.9f, 0.0f});
     Rng rng(8);
     for (int step = 0; step < 4; ++step) {
-      Tensor x(Shape{kBatch, 200});
+      Tensor x(Shape{kBatch, sample[0], sample[1], sample[2]});
       x.fill_uniform(rng, -1.0f, 1.0f);
       net.zero_grads();
       net.forward(x, /*train=*/true);

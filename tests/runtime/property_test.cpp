@@ -104,7 +104,7 @@ RandomStack build_stack(std::uint64_t seed) {
     const std::size_t filters = 1 + rng.uniform_index(5);
     Shape shape = stack.sample_shape;
     if (rng.bernoulli(0.5)) {
-      nn::LowRankConv2d::Spec spec;
+      nn::Conv2dSpec spec;
       spec.in_channels = channels;
       spec.out_channels = filters;
       spec.kernel = kernel;
