@@ -1,13 +1,12 @@
 // GEMM kernel-subsystem benchmark: packed/blocked kernel vs. the seed
 // materialize+i-k-j kernel on the shapes the Group Scissor pipeline actually
-// hits (im2col tall-skinny products, gram squares, rsvd panels), plus
-// end-to-end gram/rsvd cases mirroring bench/micro_linalg.cpp.
+// hits (im2col tall-skinny products, dense backward products), plus
+// end-to-end Gram cases at the shapes SVD/PCA feed the eigensolver.
 //
 // Emits BENCH_gemm.json (GFLOP/s and speedup per case) into the working
 // directory and prints the same table to stdout. Thread count follows
 // GS_NUM_THREADS; run with GS_NUM_THREADS=1 for the single-thread
 // comparison quoted in the README.
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -15,7 +14,6 @@
 #include "common/rng.hpp"
 #include "linalg/gemm_kernel.hpp"
 #include "linalg/gram.hpp"
-#include "linalg/rsvd.hpp"
 #include "tensor/matrix.hpp"
 
 namespace gs::bench {
@@ -62,13 +60,6 @@ void seed_gemm(const Tensor& a, bool ta, const Tensor& b, bool tb, Tensor& c,
   }
 }
 
-Tensor seed_matmul(const Tensor& a, const Tensor& b, bool ta = false,
-                   bool tb = false) {
-  Tensor c(Shape{ta ? a.cols() : a.rows(), tb ? b.rows() : b.cols()});
-  seed_gemm(a, ta, b, tb, c);
-  return c;
-}
-
 /// Seed gram: outer-product order (right) / row-pair dots (left), serial.
 std::vector<double> seed_gram_double(const Tensor& a, bool right) {
   const std::size_t n = a.rows();
@@ -106,66 +97,6 @@ std::vector<double> seed_gram_double(const Tensor& a, bool right) {
     }
   }
   return g;
-}
-
-/// Seed column orthonormalisation: strided .at()-style access pattern.
-void seed_orthonormalize_columns(Tensor& q) {
-  const std::size_t n = q.rows();
-  const std::size_t k = q.cols();
-  float* d = q.data();
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t j = 0; j < k; ++j) {
-      for (std::size_t prev = 0; prev < j; ++prev) {
-        double dot = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          dot += static_cast<double>(d[i * k + j]) * d[i * k + prev];
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          d[i * k + j] -= static_cast<float>(dot) * d[i * k + prev];
-        }
-      }
-      double norm2 = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        norm2 += static_cast<double>(d[i * k + j]) * d[i * k + j];
-      }
-      const double norm = std::sqrt(norm2);
-      if (norm < 1e-12) {
-        for (std::size_t i = 0; i < n; ++i) d[i * k + j] = 0.0f;
-        d[(j % n) * k + j] = 1.0f;
-      } else {
-        const auto inv = static_cast<float>(1.0 / norm);
-        for (std::size_t i = 0; i < n; ++i) d[i * k + j] *= inv;
-      }
-    }
-  }
-}
-
-/// Seed-path randomized SVD range finder + projection: every matmul through
-/// seed_gemm. (The small stage-B SVD is shared with the library and is not
-/// the hot path at these shapes.)
-void seed_rsvd(const Tensor& a, std::size_t rank) {
-  const std::size_t m = a.cols();
-  const std::size_t probes = rank + 8;  // library default oversample
-  Rng rng(123);
-  Tensor omega(Shape{m, probes});
-  omega.fill_gaussian(rng, 0.0f, 1.0f);
-  Tensor y = seed_matmul(a, omega);
-  seed_orthonormalize_columns(y);
-  Tensor z = seed_matmul(a, y, /*ta=*/true);
-  seed_orthonormalize_columns(z);
-  y = seed_matmul(a, z);
-  seed_orthonormalize_columns(y);
-  Tensor b = seed_matmul(y, a, /*ta=*/true);
-  const linalg::SvdResult small = linalg::svd(b);
-  (void)small;
-}
-
-void new_rsvd(const Tensor& a, std::size_t rank) {
-  linalg::RsvdOptions options;
-  options.power_iterations = 1;
-  options.seed = 123;
-  const linalg::SvdResult s = linalg::randomized_svd(a, rank, options);
-  (void)s;
 }
 
 // ---- Cases -----------------------------------------------------------------
@@ -233,16 +164,14 @@ int main() {
 
   // Shapes hit by LeNet/ConvNet training + rank clipping. im2col products
   // are tall-skinny (positions×batch rows, patch-sized k, filter-count n);
-  // the 512³ square is the acceptance shape; rsvd panels are tall with a
-  // narrow probe block; the ta/tb cases mirror Dense/Conv backward.
+  // the 512³ square is the acceptance shape; the ta/tb cases mirror
+  // Dense/Conv backward.
   const GemmCase gemm_cases[] = {
       {"square_512", "acceptance", 512, 512, 512, false, false},
       {"lenet_conv2_im2col", "im2col tall-skinny", 1600, 50, 500, false,
        false},
       {"convnet_conv3_im2col", "im2col tall-skinny", 1024, 64, 800, false,
        false},
-      {"rsvd_panel", "range finder Y=A*Omega", 2048, 37, 512, false, false},
-      {"rsvd_panel_t", "power iter Z=At*Y", 512, 37, 2048, true, false},
       {"dense_backward_dW", "dW=Xt*dY", 800, 500, 256, true, false},
       {"dense_backward_dX", "dX=dY*Wt", 256, 800, 500, false, true},
   };
@@ -255,7 +184,7 @@ int main() {
   }
   const std::size_t gemm_record_count = records.size();
 
-  // End-to-end gram/rsvd cases at the micro_linalg shapes.
+  // End-to-end Gram cases.
   const Tensor g1 = random_matrix(2048, 512, 21);
   const Tensor g2 = random_matrix(800, 64, 22);
   const Tensor g3 = random_matrix(512, 2048, 23);
@@ -271,13 +200,6 @@ int main() {
       "gram_left_512x2048", "gram", "512x2048 -> 512^2",
       [&] { seed_gram_double(g3, false); },
       [&] { linalg::detail::gram_double(g3, false); }));
-  records.push_back(run_pair("rsvd_2048x512_k32", "rsvd", "2048x512 rank 32",
-                             [&] { seed_rsvd(g1, 32); },
-                             [&] { new_rsvd(g1, 32); }));
-  const Tensor g4 = random_matrix(800, 64, 24);
-  records.push_back(run_pair("rsvd_800x64_k22", "rsvd", "800x64 rank 22",
-                             [&] { seed_rsvd(g4, 22); },
-                             [&] { new_rsvd(g4, 22); }));
   for (std::size_t i = gemm_record_count; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
     std::printf("%-22s %-18s seed %8.4fs  kernel %8.4fs  x%.2f\n",

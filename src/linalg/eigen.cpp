@@ -10,22 +10,189 @@ namespace gs::linalg {
 
 namespace {
 
-/// Sum of squares of off-diagonal entries.
-double off_diag_norm2(const std::vector<double>& a, std::size_t n) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double v = a[i * n + j];
-      s += 2.0 * v * v;
+// Implicit-shift QL iterations allowed per eigenvalue before the solver
+// gives up (EISPACK tql2's limit).
+constexpr int kMaxQlIterations = 30;
+
+// Both routines below are EISPACK's tred2/tql2 (as ported by JAMA) on a
+// transposed workspace: z holds Zᵀ, where Z is the matrix the published
+// routines update in place. Every published access Z[r][c] reads z[c·n + r],
+// so their column sweeps become contiguous row sweeps here, and each QL
+// rotation of two columns of Z streams two rows of z. A is symmetric, so the
+// workspace starts as A itself.
+
+/// Householder reduction of the symmetric z (n×n) to tridiagonal form.
+/// On return d holds the diagonal, e[1..n-1] the subdiagonal (e[0] = 0), and
+/// row j of z the j-th column of the orthogonal Q with A = Q·T·Qᵀ.
+void tridiagonalize(std::vector<double>& z, std::size_t n,
+                    std::vector<double>& d, std::vector<double>& e) {
+  double* const zp = z.data();
+  for (std::size_t j = 0; j < n; ++j) d[j] = zp[j * n + n - 1];
+
+  for (std::size_t i = n - 1; i > 0; --i) {
+    // Scale to avoid under/overflow.
+    double scale = 0.0;
+    double h = 0.0;
+    for (std::size_t k = 0; k < i; ++k) scale += std::fabs(d[k]);
+    if (scale == 0.0) {
+      e[i] = d[i - 1];
+      for (std::size_t j = 0; j < i; ++j) {
+        d[j] = zp[j * n + i - 1];
+        zp[j * n + i] = 0.0;
+        zp[i * n + j] = 0.0;
+      }
+    } else {
+      // Generate the Householder vector u = d[0..i).
+      for (std::size_t k = 0; k < i; ++k) {
+        d[k] /= scale;
+        h += d[k] * d[k];
+      }
+      double f = d[i - 1];
+      double g = std::sqrt(h);
+      if (f > 0.0) g = -g;
+      e[i] = scale * g;
+      h -= f * g;
+      d[i - 1] = f - g;
+      std::fill(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(i), 0.0);
+
+      // e = A·u over the active block, read from its upper triangle; u is
+      // kept in row i for the accumulation pass.
+      for (std::size_t j = 0; j < i; ++j) {
+        const double* zj = zp + j * n;
+        f = d[j];
+        zp[i * n + j] = f;
+        g = e[j] + zj[j] * f;
+        for (std::size_t k = j + 1; k < i; ++k) {
+          g += zj[k] * d[k];
+          e[k] += zj[k] * f;
+        }
+        e[j] = g;
+      }
+      f = 0.0;
+      for (std::size_t j = 0; j < i; ++j) {
+        e[j] /= h;
+        f += e[j] * d[j];
+      }
+      const double hh = f / (h + h);
+      for (std::size_t j = 0; j < i; ++j) e[j] -= hh * d[j];
+
+      // Rank-2 update A -= u·eᵀ + e·uᵀ of the active upper triangle.
+      for (std::size_t j = 0; j < i; ++j) {
+        double* zj = zp + j * n;
+        f = d[j];
+        g = e[j];
+        for (std::size_t k = j; k < i; ++k) zj[k] -= f * e[k] + g * d[k];
+        d[j] = zj[i - 1];
+        zj[i] = 0.0;
+      }
     }
+    d[i] = h;
   }
-  return s;
+
+  // Accumulate the reflectors into Q, one leading block at a time.
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    double* zi = zp + i * n;
+    double* u = zp + (i + 1) * n;  // reflector i+1, unscaled
+    zi[n - 1] = zi[i];
+    zi[i] = 1.0;
+    const double h = d[i + 1];
+    if (h != 0.0) {
+      for (std::size_t k = 0; k <= i; ++k) d[k] = u[k] / h;
+      for (std::size_t j = 0; j <= i; ++j) {
+        double* zj = zp + j * n;
+        double g = 0.0;
+        for (std::size_t k = 0; k <= i; ++k) g += u[k] * zj[k];
+        for (std::size_t k = 0; k <= i; ++k) zj[k] -= g * d[k];
+      }
+    }
+    std::fill(u, u + i + 1, 0.0);
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    d[j] = zp[j * n + n - 1];
+    zp[j * n + n - 1] = 0.0;
+  }
+  zp[(n - 1) * n + n - 1] = 1.0;
+  e[0] = 0.0;
+}
+
+/// Implicit-shift QL on the tridiagonal (d, e) from tridiagonalize(),
+/// applying every rotation to rows of z. On return d holds the eigenvalues
+/// (unsorted) and row j of z the unit eigenvector for d[j].
+void ql_implicit(std::vector<double>& z, std::size_t n, std::vector<double>& d,
+                 std::vector<double>& e) {
+  for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
+  e[n - 1] = 0.0;
+
+  constexpr double kEps = 0x1p-52;
+  double shift_total = 0.0;
+  double tst1 = 0.0;
+  for (std::size_t l = 0; l < n; ++l) {
+    // Find a negligible subdiagonal element e[m], m ≥ l. e[n-1] is zero, so
+    // the scan stops there at the latest; the bound on m also holds when a
+    // NaN makes every comparison false.
+    tst1 = std::max(tst1, std::fabs(d[l]) + std::fabs(e[l]));
+    std::size_t m = l;
+    while (m + 1 < n && !(std::fabs(e[m]) <= kEps * tst1)) ++m;
+
+    // If m == l, d[l] is already an eigenvalue; otherwise iterate.
+    int iter = 0;
+    while (m > l && std::fabs(e[l]) > kEps * tst1) {
+      GS_CHECK_MSG(++iter <= kMaxQlIterations,
+                   "QL failed to converge in " << kMaxQlIterations
+                                               << " iterations");
+      // Wilkinson-style implicit shift from the leading 2×2 block.
+      double g = d[l];
+      double p = (d[l + 1] - g) / (2.0 * e[l]);
+      double r = std::hypot(p, 1.0);
+      if (p < 0.0) r = -r;
+      d[l] = e[l] / (p + r);
+      d[l + 1] = e[l] * (p + r);
+      const double dl1 = d[l + 1];
+      double h = g - d[l];
+      for (std::size_t i = l + 2; i < n; ++i) d[i] -= h;
+      shift_total += h;
+
+      // Chase the bulge from m-1 up to l with plane rotations.
+      p = d[m];
+      double c = 1.0;
+      double c2 = c;
+      double c3 = c;
+      const double el1 = e[l + 1];
+      double s = 0.0;
+      double s2 = 0.0;
+      for (std::size_t i = m; i-- > l;) {
+        c3 = c2;
+        c2 = c;
+        s2 = s;
+        g = c * e[i];
+        h = c * p;
+        r = std::hypot(p, e[i]);
+        e[i + 1] = s * r;
+        s = e[i] / r;
+        c = p / r;
+        p = c * d[i] - s * g;
+        d[i + 1] = h + s * (c * g + s * d[i]);
+        // Columns i and i+1 of Z are rows i and i+1 of z.
+        double* __restrict zi = z.data() + i * n;
+        double* __restrict zi1 = zi + n;
+        for (std::size_t k = 0; k < n; ++k) {
+          const double t = zi1[k];
+          zi1[k] = s * zi[k] + c * t;
+          zi[k] = c * zi[k] - s * t;
+        }
+      }
+      p = -s * s2 * c3 * el1 * e[l] / dl1;
+      e[l] = s * p;
+      d[l] = c * p;
+    }
+    d[l] += shift_total;
+    e[l] = 0.0;
+  }
 }
 
 }  // namespace
 
-EigenResult eigen_sym(const Tensor& a_in, const JacobiOptions& options,
-                      double symmetry_tol) {
+EigenResult eigen_sym(const Tensor& a_in, double symmetry_tol) {
   GS_CHECK_MSG(a_in.rank() == 2 && a_in.rows() == a_in.cols(),
                "eigen_sym needs a square matrix, got "
                    << shape_to_string(a_in.shape()));
@@ -46,86 +213,46 @@ EigenResult eigen_sym(const Tensor& a_in, const JacobiOptions& options,
       GS_CHECK_MSG(
           std::fabs(a[i * n + j] - a[j * n + i]) <= symmetry_tol * sym_scale,
           "matrix not symmetric at (" << i << ", " << j << ")");
-      // Symmetrise exactly so rotations stay consistent.
+      // Symmetrise exactly: the solver reads one triangle.
       const double m = 0.5 * (a[i * n + j] + a[j * n + i]);
       a[i * n + j] = a[j * n + i] = m;
     }
   }
-  return eigen_sym_double(std::move(a), n, options);
+  return eigen_sym_double(std::move(a), n);
 }
 
-EigenResult eigen_sym_double(std::vector<double> a, std::size_t n,
-                             const JacobiOptions& options) {
+EigenResult eigen_sym_double(std::vector<double> a, std::size_t n) {
   GS_CHECK_MSG(a.size() == n * n, "buffer size mismatch");
   GS_CHECK(n > 0);
+  GS_CHECK_MSG(std::all_of(a.begin(), a.end(),
+                           [](double x) { return std::isfinite(x); }),
+               "eigen_sym needs finite entries");
 
-  // V accumulates rotations; starts as identity.
-  std::vector<double> v(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) v[i * n + i] = 1.0;
-
-  double frob2 = 0.0;
-  for (double x : a) frob2 += x * x;
-  const double stop = options.tolerance * options.tolerance *
-                      std::max(frob2, 1e-300);
-
-  int sweep = 0;
-  while (off_diag_norm2(a, n) > stop) {
-    GS_CHECK_MSG(sweep++ < options.max_sweeps,
-                 "Jacobi failed to converge in " << options.max_sweeps
-                                                 << " sweeps");
-    for (std::size_t p = 0; p + 1 < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = a[p * n + q];
-        if (apq == 0.0) continue;
-        const double app = a[p * n + p];
-        const double aqq = a[q * n + q];
-        // Classic stable rotation computation (Golub & Van Loan §8.5).
-        const double theta = (aqq - app) / (2.0 * apq);
-        const double t = (theta >= 0.0)
-                             ? 1.0 / (theta + std::sqrt(1.0 + theta * theta))
-                             : 1.0 / (theta - std::sqrt(1.0 + theta * theta));
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double s = t * c;
-
-        // A <- Jᵀ A J applied to rows/cols p and q.
-        for (std::size_t k = 0; k < n; ++k) {
-          const double akp = a[k * n + p];
-          const double akq = a[k * n + q];
-          a[k * n + p] = c * akp - s * akq;
-          a[k * n + q] = s * akp + c * akq;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double apk = a[p * n + k];
-          const double aqk = a[q * n + k];
-          a[p * n + k] = c * apk - s * aqk;
-          a[q * n + k] = s * apk + c * aqk;
-        }
-        // V <- V J.
-        for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v[k * n + p];
-          const double vkq = v[k * n + q];
-          v[k * n + p] = c * vkp - s * vkq;
-          v[k * n + q] = s * vkp + c * vkq;
-        }
-      }
-    }
-  }
+  std::vector<double> d(n);
+  std::vector<double> e(n);
+  tridiagonalize(a, n, d, e);
+  ql_implicit(a, n, d, e);
+  // Finite entries beyond ~1e150 can still overflow mid-solve (QL multiplies
+  // two off-diagonal entries); NaN eigenvalues must never reach the sort.
+  GS_CHECK_MSG(std::all_of(d.begin(), d.end(),
+                           [](double x) { return std::isfinite(x); }),
+               "eigen_sym: eigenvalue overflowed the double range");
 
   // Sort eigenpairs by descending eigenvalue.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return a[x * n + x] > a[y * n + y];
-  });
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t x, std::size_t y) { return d[x] > d[y]; });
 
   EigenResult result;
   result.eigenvalues.resize(n);
   result.eigenvectors = Tensor(Shape{n, n});
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t src = order[j];
-    result.eigenvalues[j] = a[src * n + src];
+    result.eigenvalues[j] = d[src];
+    const double* v = a.data() + src * n;
     for (std::size_t i = 0; i < n; ++i) {
-      result.eigenvectors.at(i, j) = static_cast<float>(v[i * n + src]);
+      result.eigenvectors.at(i, j) = static_cast<float>(v[i]);
     }
   }
   return result;

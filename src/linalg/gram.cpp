@@ -135,6 +135,31 @@ void gram_left(const Tensor& a, std::vector<double>& g) {
   gram_from_rows(widen(a.data(), a.numel()), a.rows(), a.cols(), a.cols(), g);
 }
 
+/// <a, b> over `n` contiguous floats, accumulated in double via a fixed
+/// 8-lane interleaved order (deterministic; differs from a strictly
+/// sequential sum only at double epsilon).
+double dot_float_double(const float* a, const float* b, std::size_t n) {
+  std::size_t j = 0;
+  double acc = 0.0;
+#ifdef GS_GRAM_VECTOR_KERNEL
+  typedef float v8sf __attribute__((vector_size(8 * sizeof(float)),
+                                    aligned(4), may_alias));
+  v8df partial[4] = {};
+  for (; j + 32 <= n; j += 32) {
+    for (std::size_t u = 0; u < 4; ++u) {
+      const v8sf fa = *reinterpret_cast<const v8sf*>(a + j + 8 * u);
+      const v8sf fb = *reinterpret_cast<const v8sf*>(b + j + 8 * u);
+      partial[u] += __builtin_convertvector(fa, v8df) *
+                    __builtin_convertvector(fb, v8df);
+    }
+  }
+  const v8df merged = (partial[0] + partial[1]) + (partial[2] + partial[3]);
+  for (std::size_t lane = 0; lane < 8; ++lane) acc += merged[lane];
+#endif
+  for (; j < n; ++j) acc += static_cast<double>(a[j]) * b[j];
+  return acc;
+}
+
 // Below this product volume the transpose/widen staging buffers cost more
 // than they save; run the seed-style direct loops instead.
 constexpr std::size_t kDirectGramWork = 1u << 23;
@@ -165,28 +190,6 @@ void gram_direct(const Tensor& a, bool right, std::vector<double>& g) {
 }
 
 }  // namespace
-
-double dot_float_double(const float* a, const float* b, std::size_t n) {
-  std::size_t j = 0;
-  double acc = 0.0;
-#ifdef GS_GRAM_VECTOR_KERNEL
-  typedef float v8sf __attribute__((vector_size(8 * sizeof(float)),
-                                    aligned(4), may_alias));
-  v8df partial[4] = {};
-  for (; j + 32 <= n; j += 32) {
-    for (std::size_t u = 0; u < 4; ++u) {
-      const v8sf fa = *reinterpret_cast<const v8sf*>(a + j + 8 * u);
-      const v8sf fb = *reinterpret_cast<const v8sf*>(b + j + 8 * u);
-      partial[u] += __builtin_convertvector(fa, v8df) *
-                    __builtin_convertvector(fb, v8df);
-    }
-  }
-  const v8df merged = (partial[0] + partial[1]) + (partial[2] + partial[3]);
-  for (std::size_t lane = 0; lane < 8; ++lane) acc += merged[lane];
-#endif
-  for (; j < n; ++j) acc += static_cast<double>(a[j]) * b[j];
-  return acc;
-}
 
 std::vector<double> gram_double(const Tensor& a, bool right) {
   GS_CHECK(a.rank() == 2);

@@ -12,10 +12,4 @@ namespace gs::linalg::detail {
 /// what lets SVD/PCA resolve singular-value ratios below the float epsilon.
 std::vector<double> gram_double(const Tensor& a, bool right);
 
-/// <a, b> over `n` contiguous floats, accumulated in double via a fixed
-/// 8-lane interleaved order (deterministic; differs from a strictly
-/// sequential sum only at double epsilon). Shared by the Gram tiles and the
-/// rsvd orthonormalisation.
-double dot_float_double(const float* a, const float* b, std::size_t n);
-
 }  // namespace gs::linalg::detail

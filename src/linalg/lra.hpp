@@ -17,7 +17,7 @@ namespace gs::linalg {
 enum class LraMethod {
   kPca,          ///< uncentered PCA (covariance eigen) — paper default
   kPcaCentered,  ///< Algorithm-1-literal centering, mean folded as +1 rank
-  kSvd,          ///< Jacobi thin SVD, σ folded into U
+  kSvd,          ///< thin SVD (Gram eigen-solve), σ folded into U
 };
 
 std::string to_string(LraMethod method);

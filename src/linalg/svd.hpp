@@ -1,10 +1,11 @@
 // Thin singular value decomposition.
 //
-// Computed via the symmetric Jacobi eigendecomposition of the smaller Gram
-// matrix (AᵀA or AAᵀ): for an N×M input this costs one min(N,M)³ eigen solve
-// plus two GEMMs — ideal for the skinny factor matrices rank clipping
-// produces. Singular vectors for (numerically) zero singular values are
-// dropped; the decomposition is thin with rank r = #{σᵢ > cutoff}.
+// Computed via the symmetric eigendecomposition (Householder + QL,
+// linalg/eigen.hpp) of the smaller Gram matrix (AᵀA or AAᵀ): for an N×M input
+// this costs one min(N,M)³ eigen solve plus two GEMMs — ideal for the skinny
+// factor matrices rank clipping produces. Singular vectors for (numerically)
+// zero singular values are dropped; the decomposition is thin with rank
+// r = #{σᵢ > cutoff}.
 #pragma once
 
 #include <vector>

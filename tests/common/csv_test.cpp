@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "common/check.hpp"
 
@@ -20,7 +23,13 @@ std::string read_file(const std::string& path) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/gs_csv_test.csv";
+  // One file per case and process: ctest runs every case as its own
+  // process, concurrently under -j, so a shared name lets one case
+  // overwrite or delete another's file.
+  std::string path_ =
+      ::testing::TempDir() + "/gs_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid()) + ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+
 #include "core/paper_constants.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/trainer.hpp"
+#include "runtime/health.hpp"
 
 namespace gs::core {
 namespace {
@@ -118,6 +122,34 @@ TEST(ToLowRank, RankBoundsValidated) {
   FactorizeSpec spec;
   spec.ranks = {{"conv1", 21}};  // conv1 fan-out is 20
   EXPECT_THROW(to_lowrank(dense, spec), Error);
+}
+
+// Full-rank factorisation of a seeded LeNet (Algorithm 2, line 2). fc1's
+// 500×500 Gram (500²·800 multiply-adds) is past gram_double's direct-loop
+// threshold, so it is built on the pooled tile path before the eigensolver,
+// and its U = W·V runs on the pooled GEMM kernel. The factors' checksum is
+// recorded as the gtest property `weights_checksum`; the
+// thread_count_invariance_factorize ctest
+// (scripts/check_thread_count_invariance.py) runs this case at
+// GS_NUM_THREADS 1 and 4 and requires the two checksums to be equal.
+TEST(ToLowRank, FullRankLeNetFactorsChecksum) {
+  Rng rng(10);
+  const nn::Network dense = build_lenet(rng);
+  FactorizeSpec spec;
+  spec.keep_dense = {lenet_classifier()};
+  nn::Network lowrank = to_lowrank(dense, spec);
+  const auto factorized = lowrank.factorized_layers();
+  ASSERT_EQ(factorized.size(), 3u);
+  EXPECT_EQ(factorized[2]->current_rank(), 500u);  // fc1 at full rank
+
+  std::uint64_t hash = 0;
+  for (const nn::ParamRef& param : lowrank.params()) {
+    hash = (hash ^ runtime::tensor_checksum(*param.value)) * 1099511628211ULL;
+  }
+  char hex[20];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(hash));
+  RecordProperty("weights_checksum", hex);
 }
 
 TEST(CloneNetwork, DeepCopyIsIndependent) {
