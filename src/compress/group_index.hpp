@@ -3,11 +3,11 @@
 //
 // Key structural fact exploited throughout: every row group (i, tc) and
 // every column group (tr, j) lies inside exactly ONE crossbar tile, so the
-// tile is the natural parallel work unit. Each sweep dispatches one task
-// per tile on gs::ThreadPool; a task touches only its own tile's weights
-// and its own slots of the cached-norm tables, and accumulates in a fixed
-// sequential order — results are therefore bitwise identical at any
-// GS_NUM_THREADS. Inner loops run over contiguous row slices through raw
+// tile is the natural unit of work. Each sweep hands gs::ThreadPool runs of
+// consecutive tiles (hw::parallel_for_tile_runs, fixed by the grid alone);
+// per tile it touches only that tile's weights and its own slots of the
+// cached-norm tables, and accumulates in a fixed sequential order —
+// results are therefore bitwise identical at any GS_NUM_THREADS. Inner loops run over contiguous row slices through raw
 // pointers (no per-element bounds checks) with unrolled double
 // accumulators.
 //

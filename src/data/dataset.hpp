@@ -5,10 +5,14 @@
 // module are *procedural generators* that synthesise a learnable 10-class
 // image task with identical tensor geometry (28×28×1 / 32×32×3). Samples are
 // deterministic functions of (dataset seed, index): the "dataset" is virtual
-// and unbounded, and train/test splits are disjoint index ranges.
+// and unbounded, and train/test splits are disjoint index ranges. Each
+// sample is rendered on its first get() and served from a SampleCache
+// afterwards, so memory grows only with the samples actually fetched.
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <memory>
 #include <string>
 
 #include "tensor/tensor.hpp"
@@ -36,6 +40,26 @@ class Dataset {
   virtual std::size_t num_classes() const = 0;
   /// Diagnostic name.
   virtual std::string name() const = 0;
+};
+
+/// The render-once store of the procedural datasets. get(index, render)
+/// calls render() on the first request for `index` and returns a copy of
+/// the stored sample from then on; render must be a pure function of the
+/// index, so a cached sample is bitwise the first render. Thread-safe:
+/// concurrent gets may both render an index, and the first stored copy
+/// wins. Copies and moves share one store (the dataset's other state is
+/// copied with it), so a moved-from dataset still serves its samples.
+class SampleCache {
+ public:
+  SampleCache();
+  SampleCache(const SampleCache&) = default;
+  SampleCache& operator=(const SampleCache&) = default;
+
+  Sample get(std::size_t index, const std::function<Sample()>& render) const;
+
+ private:
+  struct Store;
+  std::shared_ptr<Store> store_;
 };
 
 }  // namespace gs::data

@@ -94,46 +94,48 @@ SyntheticCifar::SyntheticCifar(std::uint64_t seed, std::size_t count,
 
 Sample SyntheticCifar::get(std::size_t index) const {
   GS_CHECK_MSG(index < count_, "index " << index << " >= size " << count_);
-  Rng rng(seed_ ^ (0xA0761D6478BD642FULL * (index + 1)));
-  const std::size_t label = index % kClasses;
+  return cache_.get(index, [&] {
+    Rng rng(seed_ ^ (0xA0761D6478BD642FULL * (index + 1)));
+    const std::size_t label = index % kClasses;
 
-  TextureParams t;
-  t.phase_x = rng.uniform(-style_.max_shift, style_.max_shift);
-  t.phase_y = rng.uniform(-style_.max_shift, style_.max_shift);
-  t.freq = rng.uniform(1.0 - style_.freq_jitter, 1.0 + style_.freq_jitter);
-  for (auto& a : t.aux) a = rng.uniform(0.25, 0.75);
+    TextureParams t;
+    t.phase_x = rng.uniform(-style_.max_shift, style_.max_shift);
+    t.phase_y = rng.uniform(-style_.max_shift, style_.max_shift);
+    t.freq = rng.uniform(1.0 - style_.freq_jitter, 1.0 + style_.freq_jitter);
+    for (auto& a : t.aux) a = rng.uniform(0.25, 0.75);
 
-  // Distractor: a different class's texture blended at low strength makes
-  // colour alone insufficient for classification.
-  const std::size_t rival =
-      (label + 1 + rng.uniform_index(kClasses - 1)) % kClasses;
-  TextureParams rt = t;
-  rt.phase_x = rng.uniform(-style_.max_shift, style_.max_shift);
-  rt.phase_y = rng.uniform(-style_.max_shift, style_.max_shift);
+    // Distractor: a different class's texture blended at low strength makes
+    // colour alone insufficient for classification.
+    const std::size_t rival =
+        (label + 1 + rng.uniform_index(kClasses - 1)) % kClasses;
+    TextureParams rt = t;
+    rt.phase_x = rng.uniform(-style_.max_shift, style_.max_shift);
+    rt.phase_y = rng.uniform(-style_.max_shift, style_.max_shift);
 
-  std::array<double, 3> color = base_color(label);
-  for (auto& c : color) {
-    c = std::clamp(c + rng.uniform(-style_.color_jitter, style_.color_jitter),
-                   0.0, 1.0);
-  }
-  const std::array<double, 3> rival_color = base_color(rival);
+    std::array<double, 3> color = base_color(label);
+    for (auto& c : color) {
+      c = std::clamp(c + rng.uniform(-style_.color_jitter, style_.color_jitter),
+                     0.0, 1.0);
+    }
+    const std::array<double, 3> rival_color = base_color(rival);
 
-  Tensor image(Shape{kChannels, kHeight, kWidth});
-  for (std::size_t y = 0; y < kHeight; ++y) {
-    for (std::size_t x = 0; x < kWidth; ++x) {
-      const double nx = (x + 0.5) / kWidth;
-      const double ny = (y + 0.5) / kHeight;
-      const double v = texture_value(label, nx, ny, t);
-      const double rv =
-          style_.distractor_level * texture_value(rival, nx, ny, rt);
-      for (std::size_t c = 0; c < kChannels; ++c) {
-        double pixel = 0.15 + 0.85 * v * color[c] + rv * rival_color[c];
-        pixel += rng.gaussian(0.0, style_.noise_stddev);
-        image.at(c, y, x) = static_cast<float>(std::clamp(pixel, 0.0, 1.0));
+    Tensor image(Shape{kChannels, kHeight, kWidth});
+    for (std::size_t y = 0; y < kHeight; ++y) {
+      for (std::size_t x = 0; x < kWidth; ++x) {
+        const double nx = (x + 0.5) / kWidth;
+        const double ny = (y + 0.5) / kHeight;
+        const double v = texture_value(label, nx, ny, t);
+        const double rv =
+            style_.distractor_level * texture_value(rival, nx, ny, rt);
+        for (std::size_t c = 0; c < kChannels; ++c) {
+          double pixel = 0.15 + 0.85 * v * color[c] + rv * rival_color[c];
+          pixel += rng.gaussian(0.0, style_.noise_stddev);
+          image.at(c, y, x) = static_cast<float>(std::clamp(pixel, 0.0, 1.0));
+        }
       }
     }
-  }
-  return Sample{std::move(image), label};
+    return Sample{std::move(image), label};
+  });
 }
 
 }  // namespace gs::data

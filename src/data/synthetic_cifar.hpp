@@ -45,6 +45,7 @@ class SyntheticCifar final : public Dataset {
   std::uint64_t seed_;
   std::size_t count_;
   CifarStyle style_;
+  SampleCache cache_;
 };
 
 }  // namespace gs::data

@@ -162,14 +162,16 @@ SyntheticMnist::SyntheticMnist(std::uint64_t seed, std::size_t count,
 
 Sample SyntheticMnist::get(std::size_t index) const {
   GS_CHECK_MSG(index < count_, "index " << index << " >= size " << count_);
-  // Per-sample stream: decorrelated across indices, stable across calls.
-  Rng rng(seed_ ^ (0xD1B54A32D192ED03ULL * (index + 1)));
-  const std::size_t label = index % kClasses;  // balanced classes
-  const Affine affine = random_affine(rng, style_);
-  const double thickness =
-      rng.uniform(style_.min_thickness, style_.max_thickness);
-  Sample s{render(label, affine, thickness, style_.noise_stddev, rng), label};
-  return s;
+  return cache_.get(index, [&] {
+    // Per-sample stream: decorrelated across indices, stable across calls.
+    Rng rng(seed_ ^ (0xD1B54A32D192ED03ULL * (index + 1)));
+    const std::size_t label = index % kClasses;  // balanced classes
+    const Affine affine = random_affine(rng, style_);
+    const double thickness =
+        rng.uniform(style_.min_thickness, style_.max_thickness);
+    return Sample{render(label, affine, thickness, style_.noise_stddev, rng),
+                  label};
+  });
 }
 
 Tensor SyntheticMnist::prototype(std::size_t label) const {

@@ -53,6 +53,7 @@ class SyntheticMnist final : public Dataset {
   std::uint64_t seed_;
   std::size_t count_;
   MnistStyle style_;
+  SampleCache cache_;
 };
 
 }  // namespace gs::data

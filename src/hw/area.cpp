@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 
 namespace gs::hw {
 
@@ -42,40 +41,41 @@ WireCount count_routing_wires(const Tensor& m, const TileGrid& grid,
   wires.total = grid.total_wires();
   // Every row group (one input wire) and column group (one output wire) lies
   // inside exactly one tile, so a single fused pass per tile determines the
-  // liveness of all its wires. Per-tile counts land in disjoint slots and
+  // liveness of all its wires. Per-run counts land in disjoint slots and
   // integer summation is order-free — bitwise stable at any pool size.
   const std::size_t gc = grid.grid_cols();
   const std::size_t stride = grid.cols;
   const float* base = m.data();
-  std::vector<std::size_t> live(grid.tile_count(), 0);
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
-  tp.parallel_for(live.size(), [&](std::size_t t) {
-    const GroupSlice s = tile_slice(grid, t / gc, t % gc);
-    const std::size_t width = s.col_end - s.col_begin;
-    // Early-exit scans (a live group usually reveals itself within a few
-    // elements); both orientations stay inside this tile, so the whole
-    // working set is a few KB.
-    std::size_t live_rows = 0;
-    for (std::size_t i = s.row_begin; i < s.row_end; ++i) {
-      const float* row = base + i * stride + s.col_begin;
+  std::vector<std::size_t> live(grid.tile_count(), 0);  // at each run's first
+  parallel_for_tile_runs(grid, pool, [&](std::size_t first, std::size_t last) {
+    std::size_t count = 0;
+    for (std::size_t t = first; t < last; ++t) {
+      const GroupSlice s = tile_slice(grid, t / gc, t % gc);
+      const std::size_t width = s.col_end - s.col_begin;
+      // Early-exit scans (a live group usually reveals itself within a few
+      // elements); both orientations stay inside this tile, so the whole
+      // working set is a few KB.
+      for (std::size_t i = s.row_begin; i < s.row_end; ++i) {
+        const float* row = base + i * stride + s.col_begin;
+        for (std::size_t j = 0; j < width; ++j) {
+          if (std::fabs(row[j]) > tol) {
+            ++count;
+            break;
+          }
+        }
+      }
       for (std::size_t j = 0; j < width; ++j) {
-        if (std::fabs(row[j]) > tol) {
-          ++live_rows;
-          break;
+        const float* cell = base + s.row_begin * stride + s.col_begin + j;
+        for (std::size_t i = s.row_begin; i < s.row_end;
+             ++i, cell += stride) {
+          if (std::fabs(*cell) > tol) {
+            ++count;
+            break;
+          }
         }
       }
     }
-    std::size_t live_cols = 0;
-    for (std::size_t j = 0; j < width; ++j) {
-      const float* cell = base + s.row_begin * stride + s.col_begin + j;
-      for (std::size_t i = s.row_begin; i < s.row_end; ++i, cell += stride) {
-        if (std::fabs(*cell) > tol) {
-          ++live_cols;
-          break;
-        }
-      }
-    }
-    live[t] = live_rows + live_cols;
+    live[first] = count;
   });
   for (const std::size_t count : live) wires.remaining += count;
   return wires;

@@ -69,8 +69,8 @@ struct WireCount {
 
 /// Counts remaining routing wires: one wire per non-zero row group plus one
 /// per non-zero column group (zero = all |w| ≤ tol). Sweeps one parallel
-/// task per tile (`pool` defaults to ThreadPool::global()); the count is
-/// identical at any pool size.
+/// task per run of tiles (parallel_for_tile_runs; `pool` defaults to
+/// ThreadPool::global()); the count is identical at any pool size.
 WireCount count_routing_wires(const Tensor& m, const TileGrid& grid,
                               float tol = 0.0f, ThreadPool* pool = nullptr);
 

@@ -56,6 +56,20 @@ GroupSlice tile_slice(const TileGrid& grid, std::size_t tr, std::size_t tc) {
   return s;
 }
 
+void parallel_for_tile_runs(
+    const TileGrid& grid, ThreadPool* pool,
+    const std::function<void(std::size_t, std::size_t)>& fn) {
+  const std::size_t tiles = grid.tile_count();
+  const std::size_t per_run =
+      std::max<std::size_t>(1, (kTileRunCells + grid.tile.cells() - 1) /
+                                   grid.tile.cells());
+  const std::size_t runs = (tiles + per_run - 1) / per_run;
+  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
+  tp.parallel_for(runs, [&](std::size_t r) {
+    fn(r * per_run, std::min(tiles, (r + 1) * per_run));
+  });
+}
+
 double group_norm(const Tensor& m, const GroupSlice& slice) {
   GS_CHECK(m.rank() == 2);
   GS_CHECK(slice.row_end <= m.rows() && slice.col_end <= m.cols());
@@ -90,36 +104,38 @@ std::vector<TileOccupancy> analyze_tiles(const Tensor& m, const TileGrid& grid,
   const std::size_t stride = grid.cols;
   const float* base = m.data();
   std::vector<TileOccupancy> tiles(grid.tile_count());
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
-  // One task per tile: each writes only tiles[t], so the result is bitwise
-  // identical no matter how tasks are scheduled.
-  tp.parallel_for(tiles.size(), [&](std::size_t t) {
-    const std::size_t tr = t / gc;
-    const std::size_t tc = t % gc;
-    const GroupSlice s = tile_slice(grid, tr, tc);
-    TileOccupancy occ;
-    occ.tile_row = tr;
-    occ.tile_col = tc;
-    occ.rows = s.row_end - s.row_begin;
-    occ.cols = s.col_end - s.col_begin;
-    occ.cells = occ.rows * occ.cols;
-    occ.physical_cells = grid.tile.cells();
-    std::vector<char> col_hit(occ.cols, 0);
-    for (std::size_t i = s.row_begin; i < s.row_end; ++i) {
-      const float* row = base + i * stride + s.col_begin;
-      bool row_hit = false;
-      for (std::size_t j = 0; j < occ.cols; ++j) {
-        if (std::fabs(row[j]) > tol) {
-          ++occ.nonzero_cells;
-          row_hit = true;
-          col_hit[j] = 1;
+  // Each tile writes only tiles[t], so the result is bitwise identical no
+  // matter how the runs are scheduled.
+  parallel_for_tile_runs(grid, pool, [&](std::size_t first, std::size_t last) {
+    std::vector<char> col_hit(grid.tile.cols);
+    for (std::size_t t = first; t < last; ++t) {
+      const std::size_t tr = t / gc;
+      const std::size_t tc = t % gc;
+      const GroupSlice s = tile_slice(grid, tr, tc);
+      TileOccupancy occ;
+      occ.tile_row = tr;
+      occ.tile_col = tc;
+      occ.rows = s.row_end - s.row_begin;
+      occ.cols = s.col_end - s.col_begin;
+      occ.cells = occ.rows * occ.cols;
+      occ.physical_cells = grid.tile.cells();
+      std::fill(col_hit.begin(), col_hit.begin() + occ.cols, 0);
+      for (std::size_t i = s.row_begin; i < s.row_end; ++i) {
+        const float* row = base + i * stride + s.col_begin;
+        bool row_hit = false;
+        for (std::size_t j = 0; j < occ.cols; ++j) {
+          if (std::fabs(row[j]) > tol) {
+            ++occ.nonzero_cells;
+            row_hit = true;
+            col_hit[j] = 1;
+          }
         }
+        if (row_hit) ++occ.nonzero_rows;
       }
-      if (row_hit) ++occ.nonzero_rows;
+      occ.nonzero_cols = static_cast<std::size_t>(
+          std::count(col_hit.begin(), col_hit.begin() + occ.cols, 1));
+      tiles[t] = occ;
     }
-    occ.nonzero_cols = static_cast<std::size_t>(
-        std::count(col_hit.begin(), col_hit.end(), 1));
-    tiles[t] = occ;
   });
   return tiles;
 }

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "hw/crossbar.hpp"
@@ -83,6 +84,22 @@ GroupSlice col_group_slice(const TileGrid& grid, std::size_t tr,
 /// why tiles are the parallel work unit of all group sweeps.
 GroupSlice tile_slice(const TileGrid& grid, std::size_t tr, std::size_t tc);
 
+/// Smallest number of crossbar cells (P·Q per tile) one task of
+/// parallel_for_tile_runs() covers.
+inline constexpr std::size_t kTileRunCells = 16384;
+
+/// The parallel loop of every tile sweep: runs fn(first, last) over runs
+/// of consecutive tiles [first, last) in row-major (tile_row, tile_col)
+/// order, one pool task per run (`pool` defaults to ThreadPool::global()).
+/// Each run spans at least kTileRunCells cells, except the grid's last,
+/// so a grid of thousands of tiny tiles costs a handful of tasks and a
+/// sweep keeps one scratch buffer per run, not per tile. The runs depend
+/// only on the grid: a sweep whose per-tile work touches only that tile's
+/// outputs is bitwise identical at any pool size.
+void parallel_for_tile_runs(
+    const TileGrid& grid, ThreadPool* pool,
+    const std::function<void(std::size_t first, std::size_t last)>& fn);
+
 /// L2 norm of the matrix elements in a slice (double accumulation).
 double group_norm(const Tensor& m, const GroupSlice& slice);
 
@@ -112,9 +129,9 @@ struct TileOccupancy {
 };
 
 /// Scans a matrix and reports occupancy for every tile of the grid (one
-/// parallel task per tile; `pool` defaults to ThreadPool::global()). The
-/// result is ordered row-major by (tile_row, tile_col) and is bitwise
-/// identical at any pool size.
+/// parallel task per run of tiles, parallel_for_tile_runs; `pool` defaults
+/// to ThreadPool::global()). The result is ordered row-major by
+/// (tile_row, tile_col) and is bitwise identical at any pool size.
 std::vector<TileOccupancy> analyze_tiles(const Tensor& m, const TileGrid& grid,
                                          float tol = 0.0f,
                                          ThreadPool* pool = nullptr);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "tensor/matrix.hpp"
 
 namespace gs::nn {
@@ -49,6 +50,7 @@ void WeightPath::set_matrices(std::vector<Tensor> matrices) {
     dw_[s] = Tensor(w_[s].shape());
   }
   cache_.clear();
+  grads_.clear();
   clear_packed();  // the panels snapshot matrices that no longer exist
 }
 
@@ -79,7 +81,12 @@ std::vector<WeightMatrix> WeightPath::weight_matrices() const {
 void WeightPath::begin(std::size_t slots, bool train) {
   train_ = train;
   cache_.clear();
-  if (train) cache_.resize(slots * w_.size());
+  grads_.clear();
+  if (train) {
+    // Sized up front: concurrent slots then write disjoint elements.
+    cache_.resize(slots * w_.size());
+    grads_.resize(slots * w_.size());
+  }
 }
 
 void WeightPath::forward(Tensor x, std::size_t slot, Tensor& out) {
@@ -101,23 +108,31 @@ void WeightPath::forward(Tensor x, std::size_t slot, Tensor& out) {
   add_row_vector(out, b_);
 }
 
-void WeightPath::backward(const Tensor& dy, std::size_t slot, Tensor& dx) {
+void WeightPath::backward_input(Tensor dy, std::size_t slot, Tensor& dx) {
   GS_CHECK(slot < cached_slots());
-  const Tensor* inputs = &cache_[slot * w_.size()];
   GS_CHECK(dy.rank() == 2 && dy.cols() == out_features() &&
-           dy.rows() == inputs[0].rows());
-  // Stages back to front: dW_s += X_sᵀ·G, then G ← G·W_sᵀ, the first
-  // stage's straight into dx. The packed kernel absorbs both transposes.
-  db_ += sum_rows(dy);
-  const Tensor* g = &dy;
-  Tensor dh;
-  for (std::size_t s = w_.size(); s-- > 0;) {
-    gemm(inputs[s], /*ta=*/true, *g, /*tb=*/false, dw_[s], 1.0f, 1.0f);
-    if (s == 0) {
-      gemm(*g, /*ta=*/false, w_[0], /*tb=*/true, dx);
-    } else {
-      dh = matmul(*g, w_[s], /*ta=*/false, /*tb=*/true);
-      g = &dh;
+           dy.rows() == cache_[slot * w_.size()].rows());
+  // Stages back to front: G_{s−1} = G_s·W_sᵀ, the first stage's straight
+  // into dx. The packed kernel absorbs the transpose.
+  Tensor* g = &grads_[slot * w_.size()];
+  g[w_.size() - 1] = std::move(dy);
+  for (std::size_t s = w_.size() - 1; s > 0; --s) {
+    g[s - 1] = matmul(g[s], w_[s], /*ta=*/false, /*tb=*/true);
+  }
+  gemm(g[0], /*ta=*/false, w_[0], /*tb=*/true, dx);
+}
+
+void WeightPath::accumulate_grads() {
+  const std::size_t slots = cached_slots();
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    const Tensor* inputs = &cache_[slot * w_.size()];
+    const Tensor* g = &grads_[slot * w_.size()];
+    GS_CHECK_MSG(g[w_.size() - 1].rank() == 2,
+                 name_ << ": slot " << slot << " has no backward_input");
+    // db += Σ rows of dY, then dW_s += X_sᵀ·G_s back to front.
+    db_ += sum_rows(g[w_.size() - 1]);
+    for (std::size_t s = w_.size(); s-- > 0;) {
+      gemm(inputs[s], /*ta=*/true, g[s], /*tb=*/false, dw_[s], 1.0f, 1.0f);
     }
   }
 }
@@ -155,7 +170,8 @@ Tensor WeightLayer::backward(const Tensor& grad_output) {
   // cached_slots() throws "backward before forward" after an eval forward.
   GS_CHECK(path_.cached_slots() == 1 && grad_output.rank() == 2);
   Tensor dx(Shape{grad_output.rows(), path_.in_features()});
-  path_.backward(grad_output, 0, dx);
+  path_.backward_input(grad_output, 0, dx);
+  path_.accumulate_grads();
   return dx;
 }
 
@@ -164,7 +180,7 @@ Shape WeightLayer::output_shape(const Shape& input_shape) const {
   return {path_.out_features()};
 }
 
-// ------------------------------------------------ the per-sample frame ----
+// ------------------------------------------ the sample-parallel frame ----
 
 ConvWeightLayer::ConvWeightLayer(std::string name, Conv2dSpec spec,
                                  std::vector<Tensor> matrices, Tensor bias)
@@ -204,13 +220,12 @@ Tensor ConvWeightLayer::forward(const Tensor& input, bool train) {
   path_.begin(batch, train);
 
   Tensor output(Shape{batch, f, oh, ow});
-  // Per-sample scratch hoisted out of the loop; the path writes each
-  // product into the reused buffer.
-  Tensor image(chw);
-  Tensor out_mat(Shape{oh * ow, f});
-  for (std::size_t b = 0; b < batch; ++b) {
+  // One task per sample; each writes only its own slot and output plane.
+  ThreadPool::global().parallel_for(batch, [&](std::size_t b) {
+    Tensor image(chw);
     std::copy(input.data() + b * sample, input.data() + (b + 1) * sample,
               image.data());
+    Tensor out_mat(Shape{oh * ow, f});
     path_.forward(im2col(image, geometry_), b, out_mat);
     // Transpose (oh·ow, F) into channel-major (F, oh, ow).
     float* dst = output.data() + b * f * oh * ow;
@@ -220,7 +235,7 @@ Tensor ConvWeightLayer::forward(const Tensor& input, bool train) {
         dst[c * oh * ow + p] = row[c];
       }
     }
-  }
+  });
   return output;
 }
 
@@ -238,10 +253,9 @@ Tensor ConvWeightLayer::backward(const Tensor& grad_output) {
   const std::size_t sample = shape_numel(chw);
   Tensor grad_input(Shape{batch, chw[0], chw[1], chw[2]});
 
-  Tensor dy(Shape{oh * ow, f});
-  Tensor dcols(Shape{oh * ow, geometry_.patch_size()});
-  for (std::size_t b = 0; b < batch; ++b) {
+  ThreadPool::global().parallel_for(batch, [&](std::size_t b) {
     // Reassemble dY as an (oh·ow, F) matrix.
+    Tensor dy(Shape{oh * ow, f});
     const float* src = grad_output.data() + b * f * oh * ow;
     for (std::size_t p = 0; p < oh * ow; ++p) {
       float* row = dy.data() + p * f;
@@ -249,11 +263,14 @@ Tensor ConvWeightLayer::backward(const Tensor& grad_output) {
         row[c] = src[c * oh * ow + p];
       }
     }
-    path_.backward(dy, b, dcols);
+    Tensor dcols(Shape{oh * ow, geometry_.patch_size()});
+    path_.backward_input(std::move(dy), b, dcols);
     const Tensor dimage = col2im(dcols, geometry_);
     std::copy(dimage.data(), dimage.data() + sample,
               grad_input.data() + b * sample);
-  }
+  });
+  // dW (dU, dVᵀ) and db in sample order, whatever the pool size.
+  path_.accumulate_grads();
   return grad_input;
 }
 

@@ -7,13 +7,20 @@
 // bias, their gradients, the backward caches and the eval-only compressed
 // panels. WeightLayer runs it over a (B, in) batch — the two dense layers.
 // ConvWeightLayer runs it once per sample on the sample's im2col patch
-// matrix — the two conv layers — and stores the result channel-major.
+// matrix — the two conv layers — and stores the result channel-major; the
+// samples of a batch run as one ThreadPool::global() dispatch.
 //
 // Caching rule: a train forward keeps, for each slot (one per conv sample,
 // one for a dense batch), the input of every stage. An eval forward keeps
 // nothing and drops what a train forward kept, so a backward() after an
 // eval forward throws "backward before forward" rather than using stale or
 // foreign activations.
+//
+// Backward comes in two halves. backward_input() runs per slot — slots may
+// run concurrently — and keeps each stage's output gradient in the slot;
+// accumulate_grads() then folds dW (dU, dVᵀ) and db over the slots in
+// order 0, 1, …, B−1 on the calling thread. The weight gradients are thus
+// the same sum, in the same order, at any GS_NUM_THREADS.
 #pragma once
 
 #include <string>
@@ -56,11 +63,17 @@ class WeightPath {
   void begin(std::size_t slots, bool train);
   /// out = x·W + b (x·U·Vᵀ + b) for slot `slot`; `out` is preallocated
   /// (x.rows(), out_features()). A train forward keeps x and x·U in the
-  /// slot; a packed eval forward multiplies the compressed panels.
+  /// slot; a packed eval forward multiplies the compressed panels. Distinct
+  /// slots may run concurrently.
   void forward(Tensor x, std::size_t slot, Tensor& out);
-  /// Accumulates dW (dU, dVᵀ) and db from slot `slot`'s dY (rows, out) and
-  /// writes dX into the preallocated `dx` (rows, in_features()).
-  void backward(const Tensor& dy, std::size_t slot, Tensor& dx);
+  /// Input-gradient half of the backward: writes dX for slot `slot`'s dY
+  /// (rows, out) into the preallocated `dx` (rows, in_features()) and keeps
+  /// dY (and, for {U, Vᵀ}, the hidden gradient dY·V) in the slot for
+  /// accumulate_grads(). Distinct slots may run concurrently.
+  void backward_input(Tensor dy, std::size_t slot, Tensor& dx);
+  /// Weight-gradient half: adds every slot's dW (dU, dVᵀ) and db into the
+  /// accumulators, slot 0 first. Every slot needs its backward_input().
+  void accumulate_grads();
   /// Slots the last train forward kept. Throws "backward before forward"
   /// when it kept none: no train forward yet, or an eval forward since.
   std::size_t cached_slots() const;
@@ -79,6 +92,7 @@ class WeightPath {
   Tensor db_;
   bool train_ = false;         // mode of the current forward
   std::vector<Tensor> cache_;  // [slot · stages + stage]: the stage's input
+  std::vector<Tensor> grads_;  // [slot · stages + stage]: dL/d(its output)
   std::vector<linalg::CompressedPanel> panels_;  // eval-only; empty = off
 };
 
@@ -125,7 +139,12 @@ struct Conv2dSpec {
 
 /// Base of the two conv layers: the per-sample im2col frame around the
 /// path. Sample b's patch matrix (oh·ow, C·k·k) runs through the path as
-/// slot b; its (oh·ow, F) result is stored channel-major (F, oh, ow).
+/// slot b; its (oh·ow, F) result is stored channel-major (F, oh, ow). Each
+/// pass is one ThreadPool::global() dispatch over the samples: a task runs
+/// its sample's im2col, GEMMs (nested dispatches run inline) and store, or
+/// its dY gather, input-gradient chain and col2im. The weight gradients
+/// are folded afterwards on the calling thread in sample order, so every
+/// bit is independent of the pool size.
 class ConvWeightLayer : public WeightLayer {
  public:
   Tensor forward(const Tensor& input, bool train) override;

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <memory>
@@ -144,15 +147,22 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
 
 /// Shapes where n and/or k are prime (64 never divides them) — the ragged
 /// regression sweep — plus a divisor-friendly control, under both policies.
+/// gtest names these cases by Case's bytes; the explicit zero tail leaves
+/// the struct without padding, whose bytes would differ between builds.
 struct Case {
   std::size_t n, k;
   hw::MappingPolicy policy;
+  std::uint32_t zero_tail = 0;
 };
+static_assert(sizeof(Case) == 2 * sizeof(std::size_t) +
+                                  sizeof(hw::MappingPolicy) +
+                                  sizeof(std::uint32_t),
+              "Case must have no padding bytes");
 
 class GroupIndexSweep : public ::testing::TestWithParam<Case> {};
 
 TEST_P(GroupIndexSweep, CensusAtZeroTolMatchesElementwiseCount) {
-  const auto [n, k, policy] = GetParam();
+  const auto [n, k, policy, zero_tail] = GetParam();
   const hw::TileGrid grid =
       hw::make_tile_grid(n, k, hw::paper_technology(), policy);
   const Tensor w = random_pruned_matrix(n, k, 11);
@@ -165,7 +175,7 @@ TEST_P(GroupIndexSweep, CensusAtZeroTolMatchesElementwiseCount) {
 }
 
 TEST_P(GroupIndexSweep, CensusAtToleranceMatchesNormReference) {
-  const auto [n, k, policy] = GetParam();
+  const auto [n, k, policy, zero_tail] = GetParam();
   const hw::TileGrid grid =
       hw::make_tile_grid(n, k, hw::paper_technology(), policy);
   const Tensor w = random_pruned_matrix(n, k, 12);
@@ -179,7 +189,7 @@ TEST_P(GroupIndexSweep, CensusAtToleranceMatchesNormReference) {
 }
 
 TEST_P(GroupIndexSweep, MaskMatchesScalarReference) {
-  const auto [n, k, policy] = GetParam();
+  const auto [n, k, policy, zero_tail] = GetParam();
   const hw::TileGrid grid =
       hw::make_tile_grid(n, k, hw::paper_technology(), policy);
   const Tensor w = random_pruned_matrix(n, k, 13);
@@ -193,7 +203,7 @@ TEST_P(GroupIndexSweep, MaskMatchesScalarReference) {
 }
 
 TEST_P(GroupIndexSweep, ProximalMatchesScalarReference) {
-  const auto [n, k, policy] = GetParam();
+  const auto [n, k, policy, zero_tail] = GetParam();
   const hw::TileGrid grid =
       hw::make_tile_grid(n, k, hw::paper_technology(), policy);
   Tensor w_engine = random_pruned_matrix(n, k, 14);
@@ -213,7 +223,7 @@ TEST_P(GroupIndexSweep, ProximalMatchesScalarReference) {
 }
 
 TEST_P(GroupIndexSweep, GradientMatchesScalarReference) {
-  const auto [n, k, policy] = GetParam();
+  const auto [n, k, policy, zero_tail] = GetParam();
   const hw::TileGrid grid =
       hw::make_tile_grid(n, k, hw::paper_technology(), policy);
   const Tensor w = random_pruned_matrix(n, k, 15);
@@ -226,7 +236,7 @@ TEST_P(GroupIndexSweep, GradientMatchesScalarReference) {
 }
 
 TEST_P(GroupIndexSweep, SnapMatchesScalarSemantics) {
-  const auto [n, k, policy] = GetParam();
+  const auto [n, k, policy, zero_tail] = GetParam();
   const hw::TileGrid grid =
       hw::make_tile_grid(n, k, hw::paper_technology(), policy);
   Tensor w = random_pruned_matrix(n, k, 16);
@@ -243,7 +253,7 @@ TEST_P(GroupIndexSweep, SnapMatchesScalarSemantics) {
 }
 
 TEST_P(GroupIndexSweep, OccupancyLogicalCellsPartitionMatrix) {
-  const auto [n, k, policy] = GetParam();
+  const auto [n, k, policy, zero_tail] = GetParam();
   const hw::TileGrid grid =
       hw::make_tile_grid(n, k, hw::paper_technology(), policy);
   const Tensor w = random_pruned_matrix(n, k, 17);
@@ -275,46 +285,75 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Determinism across thread counts --------------------------------------
 
+/// Runs every sweep on one matrix of `grid`'s shape twice, on a one-thread
+/// and a four-thread pool, and requires bitwise-equal weights, gradients,
+/// caches and counts.
+void expect_pool_invariant(const hw::TileGrid& grid, ThreadPool& pool1,
+                           ThreadPool& pool4) {
+  Tensor w1 = random_pruned_matrix(grid.rows, grid.cols, 21);
+  Tensor w4 = w1;
+  Tensor g1(w1.shape());
+  Tensor g4(w1.shape());
+  GroupIndex i1(grid);
+  GroupIndex i4(grid);
+  for (int step = 0; step < 3; ++step) {
+    i1.apply_proximal(w1, 0.02, true, true, &pool1);
+    i4.apply_proximal(w4, 0.02, true, true, &pool4);
+    i1.add_gradient(w1, g1, 0.5, 1e-12, true, true, &pool1);
+    i4.add_gradient(w4, g4, 0.5, 1e-12, true, true, &pool4);
+  }
+  ASSERT_TRUE(bitwise_equal(w1, w4));
+  ASSERT_TRUE(bitwise_equal(g1, g4));
+  // Cached squared norms (and thus any census) must agree exactly too.
+  ASSERT_EQ(i1.row_sqnorms(), i4.row_sqnorms());
+  ASSERT_EQ(i1.col_sqnorms(), i4.col_sqnorms());
+  EXPECT_EQ(i1.census(1e-3).remaining, i4.census(1e-3).remaining);
+
+  EXPECT_EQ(i1.snap_zero_groups(w1, 1e-3, true, true, &pool1),
+            i4.snap_zero_groups(w4, 1e-3, true, true, &pool4));
+  ASSERT_TRUE(bitwise_equal(w1, w4));
+  i1.refresh(w1, &pool1);
+  i4.refresh(w4, &pool4);
+  ASSERT_EQ(i1.row_sqnorms(), i4.row_sqnorms());
+  ASSERT_EQ(i1.col_sqnorms(), i4.col_sqnorms());
+  Tensor m1(w1.shape(), 1.0f);
+  Tensor m4(w4.shape(), 1.0f);
+  i1.zero_group_mask(w1, m1, 1e-3f, &pool1);
+  i4.zero_group_mask(w4, m4, 1e-3f, &pool4);
+  ASSERT_TRUE(bitwise_equal(m1, m4));
+
+  const hw::WireCount c1 = hw::count_routing_wires(w1, grid, 0.0f, &pool1);
+  const hw::WireCount c4 = hw::count_routing_wires(w4, grid, 0.0f, &pool4);
+  EXPECT_EQ(c1.remaining, c4.remaining);
+  const auto t1 = hw::analyze_tiles(w1, grid, 0.0f, &pool1);
+  const auto t4 = hw::analyze_tiles(w4, grid, 0.0f, &pool4);
+  ASSERT_EQ(t1.size(), t4.size());
+  for (std::size_t t = 0; t < t1.size(); ++t) {
+    EXPECT_EQ(t1[t].nonzero_cells, t4[t].nonzero_cells);
+    EXPECT_EQ(t1[t].nonzero_rows, t4[t].nonzero_rows);
+    EXPECT_EQ(t1[t].nonzero_cols, t4[t].nonzero_cols);
+  }
+}
+
+// The sweeps hand the pool runs of consecutive tiles
+// (hw::parallel_for_tile_runs). 97×53 is one run; 800×127 and 127×500 (the
+// flagship's fc1 factors at rank 127) span several under both policies.
 TEST(GroupIndexDeterminism, BitwiseIdenticalAcrossPoolSizes) {
   ThreadPool pool1(1);
   ThreadPool pool4(4);
-  for (const auto policy :
-       {hw::MappingPolicy::kDivisorExact, hw::MappingPolicy::kPaddedMax}) {
-    const hw::TileGrid grid =
-        hw::make_tile_grid(97, 53, hw::paper_technology(), policy);
-    Tensor w1 = random_pruned_matrix(97, 53, 21);
-    Tensor w4 = w1;
-    Tensor g1(w1.shape());
-    Tensor g4(w1.shape());
-    GroupIndex i1(grid);
-    GroupIndex i4(grid);
-    for (int step = 0; step < 3; ++step) {
-      i1.apply_proximal(w1, 0.02, true, true, &pool1);
-      i4.apply_proximal(w4, 0.02, true, true, &pool4);
-      i1.add_gradient(w1, g1, 0.5, 1e-12, true, true, &pool1);
-      i4.add_gradient(w4, g4, 0.5, 1e-12, true, true, &pool4);
-    }
-    ASSERT_TRUE(bitwise_equal(w1, w4));
-    ASSERT_TRUE(bitwise_equal(g1, g4));
-    // Cached squared norms (and thus any census) must agree exactly too.
-    ASSERT_EQ(i1.row_sqnorms(), i4.row_sqnorms());
-    ASSERT_EQ(i1.col_sqnorms(), i4.col_sqnorms());
-    EXPECT_EQ(i1.census(1e-3).remaining, i4.census(1e-3).remaining);
-
-    EXPECT_EQ(i1.snap_zero_groups(w1, 1e-3, true, true, &pool1),
-              i4.snap_zero_groups(w4, 1e-3, true, true, &pool4));
-    ASSERT_TRUE(bitwise_equal(w1, w4));
-
-    const hw::WireCount c1 = hw::count_routing_wires(w1, grid, 0.0f, &pool1);
-    const hw::WireCount c4 = hw::count_routing_wires(w4, grid, 0.0f, &pool4);
-    EXPECT_EQ(c1.remaining, c4.remaining);
-    const auto t1 = hw::analyze_tiles(w1, grid, 0.0f, &pool1);
-    const auto t4 = hw::analyze_tiles(w4, grid, 0.0f, &pool4);
-    ASSERT_EQ(t1.size(), t4.size());
-    for (std::size_t t = 0; t < t1.size(); ++t) {
-      EXPECT_EQ(t1[t].nonzero_cells, t4[t].nonzero_cells);
-      EXPECT_EQ(t1[t].nonzero_rows, t4[t].nonzero_rows);
-      EXPECT_EQ(t1[t].nonzero_cols, t4[t].nonzero_cols);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {97, 53}, {800, 127}, {127, 500}};
+  for (const auto& [n, k] : shapes) {
+    for (const auto policy :
+         {hw::MappingPolicy::kDivisorExact, hw::MappingPolicy::kPaddedMax}) {
+      SCOPED_TRACE(std::to_string(n) + "x" + std::to_string(k));
+      const hw::TileGrid grid =
+          hw::make_tile_grid(n, k, hw::paper_technology(), policy);
+      if (n * k > 2 * hw::kTileRunCells) {
+        EXPECT_GT(grid.tile_count() * grid.tile.cells(),
+                  2 * hw::kTileRunCells);
+      }
+      expect_pool_invariant(grid, pool1, pool4);
     }
   }
 }

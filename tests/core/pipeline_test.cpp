@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "data/synthetic_mnist.hpp"
+#include "hw/tiling.hpp"
 #include "nn/trainer.hpp"
+#include "runtime/health.hpp"
 
 namespace gs::core {
 namespace {
@@ -157,6 +161,60 @@ TEST(Pipeline, FullLeNetRunProducesConsistentReports) {
   // The compressed network is returned and still runs.
   Tensor x(Shape{1, 1, 28, 28});
   EXPECT_EQ(result.network.forward(x).shape(), (Shape{1, 10}));
+}
+
+// A short run of every training stage: pretrain, rank clipping (Algorithm
+// 2) and group connection deletion at λ > 0 with its masked fine-tune. The
+// final weights' FNV checksum is recorded as the gtest property
+// `weights_checksum`; the thread_count_invariance_pipeline ctest
+// (scripts/check_thread_count_invariance.py) runs this case at
+// GS_NUM_THREADS 1 and 4 and requires equal checksums, so the
+// sample-parallel conv frame, the pooled GEMMs and the tile-run group
+// sweeps must leave every trained bit alone. Clipping at a small ε keeps
+// fc1's factors large enough that their tile grids span several runs.
+TEST(Pipeline, ShortLeNetRunWeightsChecksum) {
+  data::SyntheticMnist train_set(120, 200);
+  data::SyntheticMnist test_set(121, 50);
+  PipelineConfig config;
+  config.seed = 9;
+  config.pretrain.iterations = 30;
+  config.pretrain.batch_size = 25;
+  config.clipping.epsilon = 0.01;
+  config.clipping.clip_interval = 15;
+  config.clipping.max_iterations = 30;
+  config.clipping_phase.batch_size = 25;
+  config.deletion.lasso.lambda = 1e-1;
+  config.deletion.train_iterations = 30;
+  config.deletion.finetune_iterations = 20;
+  config.deletion.record_interval = 15;
+  config.deletion_phase.batch_size = 25;
+  config.deletion_phase.sgd = {0.02f, 0.9f, 0.0f};
+  config.keep_dense = {lenet_classifier()};
+  config.eval_samples = 50;
+  config.runtime_eval = false;
+  config.fault_eval_rate = 0.0;
+
+  PipelineResult result = run_group_scissor(
+      [](Rng& rng) { return build_lenet(rng); }, train_set, test_set, config);
+
+  const compress::RankClippingRun& clip = result.clipping_run;
+  ASSERT_EQ(clip.layer_names.size(), clip.final_ranks.size());
+  ASSERT_EQ(clip.layer_names.back(), "fc1");
+  EXPECT_GT(800 * clip.final_ranks.back(), 2 * hw::kTileRunCells);
+  bool fc1_regularised = false;
+  for (const compress::MatrixWireReport& r : result.deletion.reports) {
+    fc1_regularised = fc1_regularised || r.name == "fc1_u";
+  }
+  EXPECT_TRUE(fc1_regularised);
+
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const nn::ParamRef& param : result.network.params()) {
+    hash = (hash ^ runtime::tensor_checksum(*param.value)) * 1099511628211ULL;
+  }
+  char hex[20];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(hash));
+  RecordProperty("weights_checksum", hex);
 }
 
 TEST(Pipeline, TrainPhaseHelperImprovesAccuracy) {
