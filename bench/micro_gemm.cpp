@@ -1,13 +1,18 @@
 // GEMM kernel-subsystem benchmark: packed/blocked kernel vs. the seed
 // materialize+i-k-j kernel on the shapes the Group Scissor pipeline actually
-// hits (im2col tall-skinny products, dense backward products), plus
-// end-to-end Gram cases at the shapes SVD/PCA feed the eigensolver.
+// hits (im2col tall-skinny products, dense backward products, the conv
+// frame's per-sample LeNet products), plus end-to-end Gram cases at the
+// shapes SVD/PCA feed the eigensolver.
 //
-// Emits BENCH_gemm.json (GFLOP/s and speedup per case) into the working
-// directory and prints the same table to stdout. Thread count follows
-// GS_NUM_THREADS; run with GS_NUM_THREADS=1 for the single-thread
-// comparison quoted in the README.
+// Each case times its seed and kernel arms in interleaved rounds
+// (bench_util's time_interleaved) and records both arms' median [min, max]
+// and the paired speedup. Emits BENCH_gemm.json into the working directory
+// and prints the same table to stdout. Thread count follows GS_NUM_THREADS;
+// run with GS_NUM_THREADS=1 for the single-thread comparison quoted in the
+// README. Pass --smoke for a small-size, few-rep CI run that prints but
+// writes no JSON.
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -108,64 +113,104 @@ struct GemmCase {
   bool ta, tb;
 };
 
-BenchRecord run_gemm_case(const GemmCase& cs) {
-  const Tensor a = cs.ta ? random_matrix(cs.k, cs.m, 11)
-                         : random_matrix(cs.m, cs.k, 11);
-  const Tensor b = cs.tb ? random_matrix(cs.n, cs.k, 13)
-                         : random_matrix(cs.k, cs.n, 13);
-  Tensor c(Shape{cs.m, cs.n});
-  const double flops = 2.0 * cs.m * cs.n * cs.k;
-
-  const double seed_s =
-      time_median_seconds([&] { seed_gemm(a, cs.ta, b, cs.tb, c); });
-  const double new_s = time_median_seconds([&] {
-    kernel::sgemm(cs.m, cs.n, cs.k, 1.0f, a.data(), a.cols(), cs.ta, b.data(),
-                  b.cols(), cs.tb, 0.0f, c.data(), cs.n);
-  });
-
+/// Times the seed and kernel arms of one case in `reps` interleaved rounds
+/// and records each arm's seconds and the paired speedup as median
+/// [min, max]. `flops` > 0 adds each arm's GF/s.
+BenchRecord timed_pair(const std::string& name, double flops,
+                       const std::function<void()>& seed_fn,
+                       const std::function<void()>& kernel_fn, int reps) {
+  const InterleavedTimes times = time_interleaved({seed_fn, kernel_fn}, reps);
   BenchRecord rec;
-  rec.name = cs.name;
-  rec.label("kind", "gemm").label("role", cs.role);
-  char shape[64];
-  std::snprintf(shape, sizeof shape, "%zux%zux%zu%s%s", cs.m, cs.n, cs.k,
-                cs.ta ? " ta" : "", cs.tb ? " tb" : "");
-  rec.label("shape", shape);
-  rec.metric("seed_seconds", seed_s)
-      .metric("kernel_seconds", new_s)
-      .metric("seed_gflops", flops / seed_s * 1e-9)
-      .metric("kernel_gflops", flops / new_s * 1e-9)
-      .metric("speedup", seed_s / new_s);
+  rec.name = name;
+  rec.spread("seed_seconds", times.arm(0))
+      .spread("kernel_seconds", times.arm(1));
+  if (flops > 0.0) {
+    const auto gflops = [flops](double s) { return flops / s * 1e-9; };
+    rec.spread("seed_gflops", times.arm(0).map(gflops))
+        .spread("kernel_gflops", times.arm(1).map(gflops));
+  }
+  rec.spread("speedup", times.ratio(0, 1));
   return rec;
 }
 
-BenchRecord run_pair(const char* name, const char* kind, const char* shape,
-                     const std::function<void()>& seed_fn,
-                     const std::function<void()>& new_fn) {
-  const double seed_s = time_median_seconds(seed_fn);
-  const double new_s = time_median_seconds(new_fn);
-  BenchRecord rec;
-  rec.name = name;
-  rec.label("kind", kind).label("shape", shape);
-  rec.metric("seed_seconds", seed_s)
-      .metric("kernel_seconds", new_s)
-      .metric("speedup", seed_s / new_s);
+/// The value of metric `key` (the median, for a spread).
+double metric(const BenchRecord& rec, const std::string& key) {
+  for (const auto& [k, v] : rec.metrics) {
+    if (k == key) return v;
+  }
+  return 0.0;
+}
+
+BenchRecord run_gemm_case(const GemmCase& cs, std::size_t scale, int reps) {
+  const std::size_t m = std::max<std::size_t>(1, cs.m / scale);
+  const std::size_t n = std::max<std::size_t>(1, cs.n / scale);
+  const std::size_t k = std::max<std::size_t>(1, cs.k / scale);
+  const Tensor a = cs.ta ? random_matrix(k, m, 11) : random_matrix(m, k, 11);
+  const Tensor b = cs.tb ? random_matrix(n, k, 13) : random_matrix(k, n, 13);
+  Tensor c(Shape{m, n});
+
+  BenchRecord rec = timed_pair(
+      cs.name, 2.0 * m * n * k, [&] { seed_gemm(a, cs.ta, b, cs.tb, c); },
+      [&] {
+        kernel::sgemm(m, n, k, 1.0f, a.data(), a.cols(), cs.ta, b.data(),
+                      b.cols(), cs.tb, 0.0f, c.data(), n);
+      },
+      reps);
+  char shape[64];
+  std::snprintf(shape, sizeof shape, "%zux%zux%zu%s%s", m, n, k,
+                cs.ta ? " ta" : "", cs.tb ? " tb" : "");
+  rec.label("kind", "gemm").label("role", cs.role).label("shape", shape);
+  std::printf("%-22s %-20s %-16s seed %7.2f GF/s  kernel %7.2f GF/s  "
+              "x%.2f [%.2f, %.2f]\n",
+              rec.name.c_str(), cs.role, shape, metric(rec, "seed_gflops"),
+              metric(rec, "kernel_gflops"), metric(rec, "speedup"),
+              metric(rec, "speedup_min"), metric(rec, "speedup_max"));
+  return rec;
+}
+
+BenchRecord run_gram_case(const char* name, std::size_t rows,
+                          std::size_t cols, bool right, std::uint64_t seed,
+                          int reps) {
+  const Tensor g = random_matrix(rows, cols, seed);
+  BenchRecord rec = timed_pair(
+      name, 0.0, [&] { seed_gram_double(g, right); },
+      [&] { linalg::detail::gram_double(g, right); }, reps);
+  const std::size_t side = right ? cols : rows;
+  const std::string shape = std::to_string(rows) + "x" + std::to_string(cols) +
+                            " -> " + std::to_string(side) + "^2";
+  rec.label("kind", "gram").label("shape", shape);
+  std::printf("%-22s %-37s seed %8.4fs  kernel %8.4fs  x%.2f [%.2f, %.2f]\n",
+              name, shape.c_str(), metric(rec, "seed_seconds"),
+              metric(rec, "kernel_seconds"), metric(rec, "speedup"),
+              metric(rec, "speedup_min"), metric(rec, "speedup_max"));
   return rec;
 }
 
 }  // namespace
 }  // namespace gs::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gs;
   using namespace gs::bench;
 
-  section("micro_gemm: packed/blocked kernel vs seed i-k-j");
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  }
+  // A smoke run divides every dimension by 8.
+  const std::size_t scale = smoke ? 8 : 1;
+  const int reps = smoke ? 3 : 11;
+
+  section(smoke ? "micro_gemm (smoke): packed/blocked kernel vs seed i-k-j"
+                : "micro_gemm: packed/blocked kernel vs seed i-k-j");
   std::vector<BenchRecord> records;
 
   // Shapes hit by LeNet/ConvNet training + rank clipping. im2col products
   // are tall-skinny (positions×batch rows, patch-sized k, filter-count n);
   // the 512³ square is the acceptance shape; the ta/tb cases mirror
-  // Dense/Conv backward.
+  // Dense/Conv backward. The conv frame's cases are one LeNet sample's
+  // products in the low-rank conv2 (rank 24, 64 positions, 500 patch rows):
+  // Hᵀ = Uᵀ·Xᵀ, the dU term Xᵀ·G₀ and dXᵀ = U·G₀ᵀ.
   const GemmCase gemm_cases[] = {
       {"square_512", "acceptance", 512, 512, 512, false, false},
       {"lenet_conv2_im2col", "im2col tall-skinny", 1600, 50, 500, false,
@@ -174,40 +219,26 @@ int main() {
        false},
       {"dense_backward_dW", "dW=Xt*dY", 800, 500, 256, true, false},
       {"dense_backward_dX", "dX=dY*Wt", 256, 800, 500, false, true},
+      {"frame_conv2_forward", "frame Ht=Ut*Xt", 24, 64, 500, true, false},
+      {"frame_conv2_dU_term", "frame dU term Xt*G0", 500, 24, 64, false,
+       true},
+      {"frame_conv2_dX", "frame dXt=U*G0t", 500, 64, 24, false, false},
   };
   for (const GemmCase& cs : gemm_cases) {
-    records.push_back(run_gemm_case(cs));
-    const BenchRecord& r = records.back();
-    std::printf("%-22s %-18s seed %7.2f GF/s  kernel %7.2f GF/s  x%.2f\n",
-                r.name.c_str(), r.labels[2].second.c_str(),
-                r.metrics[2].second, r.metrics[3].second, r.metrics[4].second);
+    records.push_back(run_gemm_case(cs, scale, reps));
   }
-  const std::size_t gemm_record_count = records.size();
 
   // End-to-end Gram cases.
-  const Tensor g1 = random_matrix(2048, 512, 21);
-  const Tensor g2 = random_matrix(800, 64, 22);
-  const Tensor g3 = random_matrix(512, 2048, 23);
-  records.push_back(run_pair(
-      "gram_right_2048x512", "gram", "2048x512 -> 512^2",
-      [&] { seed_gram_double(g1, true); },
-      [&] { linalg::detail::gram_double(g1, true); }));
-  records.push_back(run_pair(
-      "gram_right_800x64", "gram", "800x64 -> 64^2",
-      [&] { seed_gram_double(g2, true); },
-      [&] { linalg::detail::gram_double(g2, true); }));
-  records.push_back(run_pair(
-      "gram_left_512x2048", "gram", "512x2048 -> 512^2",
-      [&] { seed_gram_double(g3, false); },
-      [&] { linalg::detail::gram_double(g3, false); }));
-  for (std::size_t i = gemm_record_count; i < records.size(); ++i) {
-    const BenchRecord& r = records[i];
-    std::printf("%-22s %-18s seed %8.4fs  kernel %8.4fs  x%.2f\n",
-                r.name.c_str(), r.labels[1].second.c_str(),
-                r.metrics[0].second, r.metrics[1].second, r.metrics[2].second);
-  }
+  records.push_back(run_gram_case("gram_right_2048x512", 2048 / scale,
+                                  512 / scale, true, 21, reps));
+  records.push_back(run_gram_case("gram_right_800x64", 800 / scale,
+                                  64 / scale, true, 22, reps));
+  records.push_back(run_gram_case("gram_left_512x2048", 512 / scale,
+                                  2048 / scale, false, 23, reps));
 
-  write_bench_json("BENCH_gemm.json", "gemm", records);
-  note("\nwrote BENCH_gemm.json");
+  if (!smoke) {  // a smoke run never overwrites the full-budget record
+    write_bench_json("BENCH_gemm.json", "gemm", records);
+    note("\nwrote BENCH_gemm.json");
+  }
   return 0;
 }

@@ -1,5 +1,7 @@
 #include "core/pipeline.hpp"
 
+#include <chrono>
+#include <ctime>
 #include <utility>
 #include <vector>
 
@@ -39,6 +41,21 @@ struct FrozenMasks {
   }
 };
 
+/// The wall and process CPU clocks at the start of the current stage.
+struct StageClock {
+  std::chrono::steady_clock::time_point wall = std::chrono::steady_clock::now();
+  std::clock_t cpu = std::clock();
+
+  /// The time since the stage began; the next stage begins now.
+  StageTime lap() {
+    const StageClock now;
+    const StageTime t{std::chrono::duration<double>(now.wall - wall).count(),
+                      static_cast<double>(now.cpu - cpu) / CLOCKS_PER_SEC};
+    *this = now;
+    return t;
+  }
+};
+
 FrozenMasks freeze_zero_masks(nn::Network& net) {
   FrozenMasks masks;
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
@@ -66,6 +83,7 @@ PipelineResult run_group_scissor(
     const data::Dataset& train_set, const data::Dataset& test_set,
     const PipelineConfig& config) {
   PipelineResult result;
+  StageClock clock;
   Rng rng(config.seed);
 
   // Phase 0: train the dense baseline.
@@ -77,6 +95,7 @@ PipelineResult run_group_scissor(
                   config.eval_samples);
   result.dense_report =
       build_ncs_report(dense, config.tech, config.policy);
+  result.times.pretrain = clock.lap();
 
   // Phase 1: lossless full-rank factorisation (Algorithm 2, line 2).
   FactorizeSpec spec;
@@ -85,6 +104,7 @@ PipelineResult run_group_scissor(
   nn::Network lowrank = to_lowrank(dense, spec);
   result.lowrank_start_accuracy =
       nn::evaluate(lowrank, test_set, config.eval_samples);
+  result.times.factorize = clock.lap();
 
   // Phase 2: rank clipping (Algorithm 2 main loop).
   GS_LOG_INFO << "pipeline: rank clipping (eps=" << config.clipping.epsilon
@@ -101,6 +121,7 @@ PipelineResult run_group_scissor(
       nn::evaluate(lowrank, test_set, config.eval_samples);
   result.clipped_report =
       build_ncs_report(lowrank, config.tech, config.policy);
+  result.times.clip = clock.lap();
 
   // Phase 3: group connection deletion + fine-tune.
   GS_LOG_INFO << "pipeline: group connection deletion (lambda="
@@ -116,6 +137,7 @@ PipelineResult run_group_scissor(
     result.deletion = compress::run_group_connection_deletion(
         lowrank, opt, batcher, test_set, config.eval_samples, del);
   }
+  result.times.deletion = clock.lap();
   // Phase 4 (optional): nonideal-aware fine-tune — recompile the compressed
   // network for the nonideal target device and train against sampled chip
   // realisations of ITS OWN compiled program (runtime/noise_model.hpp),
@@ -165,6 +187,7 @@ PipelineResult run_group_scissor(
                 << result.nonideal_accuracy_before << " -> "
                 << result.nonideal_accuracy_after << " (digital "
                 << digital_accuracy << ")";
+    result.times.nonideal_finetune = clock.lap();
   }
 
   result.final_report =
@@ -289,6 +312,7 @@ PipelineResult run_group_scissor(
                   << " replicas";
     }
   }
+  result.times.compile_evaluate = clock.lap();
   result.network = std::move(lowrank);
   return result;
 }

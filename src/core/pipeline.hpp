@@ -94,6 +94,27 @@ struct PipelineConfig {
   NonidealFinetuneConfig nonideal_finetune;
 };
 
+/// Wall-clock and CPU seconds of one pipeline stage. CPU time is the
+/// process's, so it counts every pool thread.
+struct StageTime {
+  double wall_s = 0.0;
+  double cpu_s = 0.0;
+};
+
+/// Where run_group_scissor's time went, stage by stage. The stages run back
+/// to back, so they sum to at most the run's wall time; a stage that did not
+/// run reads zero. Clock reads only: timing moves no result bit.
+struct PipelineTimes {
+  StageTime pretrain;   ///< baseline training and its NCS report
+  StageTime factorize;  ///< full-rank factorisation and its evaluation
+  StageTime clip;       ///< rank clipping, its evaluation and NCS report
+  StageTime deletion;   ///< group Lasso plus the masked fine-tune
+  StageTime nonideal_finetune;  ///< config.nonideal_finetune, when enabled
+  /// The final NCS report, then the crossbar compiles and runtime
+  /// evaluations of config.runtime_eval.
+  StageTime compile_evaluate;
+};
+
 /// Everything the pipeline produced.
 struct PipelineResult {
   double baseline_accuracy = 0.0;
@@ -138,6 +159,8 @@ struct PipelineResult {
   /// over the deleted network; must equal the plain digital accuracy).
   /// Negative when the repack evaluation is off. Mirrored into final_report.
   double compressed_digital_accuracy = -1.0;
+  /// Per-stage wall and CPU time of this run.
+  PipelineTimes times;
   /// The compressed network itself (moved out for further use).
   nn::Network network;
 };

@@ -2,12 +2,13 @@
 
 namespace gs::nn {
 
-Tensor ReluLayer::forward(const Tensor& input, bool /*train*/) {
-  mask_ = Tensor(input.shape());
+Tensor ReluLayer::forward(const Tensor& input, bool train) {
+  // An eval forward keeps no mask and drops a train forward's.
+  mask_ = train ? Tensor(input.shape()) : Tensor();
   Tensor out = input;
   for (std::size_t i = 0; i < out.numel(); ++i) {
     if (out[i] > 0.0f) {
-      mask_[i] = 1.0f;
+      if (train) mask_[i] = 1.0f;
     } else {
       out[i] = 0.0f;
     }
@@ -25,9 +26,9 @@ Tensor ReluLayer::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor FlattenLayer::forward(const Tensor& input, bool /*train*/) {
+Tensor FlattenLayer::forward(const Tensor& input, bool train) {
   GS_CHECK_MSG(input.rank() >= 2, name_ << ": flatten needs a batch dim");
-  cached_shape_ = input.shape();
+  cached_shape_ = train ? input.shape() : Shape();
   const std::size_t batch = input.dim(0);
   return input.reshaped({batch, input.numel() / batch});
 }

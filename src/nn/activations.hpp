@@ -1,4 +1,6 @@
-// Stateless activation / shape layers: ReLU and Flatten.
+// Stateless activation / shape layers: ReLU and Flatten. Both follow the
+// caching rule of nn/layer.hpp: a train forward caches ReLU's mask or
+// Flatten's input shape for backward(); an eval forward drops it.
 #pragma once
 
 #include "nn/layer.hpp"

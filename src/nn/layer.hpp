@@ -9,8 +9,11 @@
 //
 // A train-mode forward() caches whatever backward() needs; backward() must
 // be called at most once per train forward() and returns the gradient
-// w.r.t. the layer input. An eval-mode forward() of a weight layer keeps no
-// cache, so a backward() after it throws (nn/weight_path.hpp).
+// w.r.t. the layer input. An eval-mode forward() keeps no cache and drops
+// what a train forward kept, so a backward() after it throws "backward
+// before forward" (nn/weight_path.hpp, and ReLU, Flatten and pooling alike).
+// Dropout is the exception: its eval forward is the identity, and its
+// backward then passes the gradient through.
 #pragma once
 
 #include <string>

@@ -18,7 +18,7 @@ std::size_t Pool2dLayer::out_extent(std::size_t in) const {
   return (in - kernel_ + stride_ - 1) / stride_ + 1;
 }
 
-Tensor Pool2dLayer::forward(const Tensor& input, bool /*train*/) {
+Tensor Pool2dLayer::forward(const Tensor& input, bool train) {
   GS_CHECK_MSG(input.rank() == 4, name_ << ": pool input must be B×C×H×W");
   const std::size_t batch = input.dim(0);
   const std::size_t channels = input.dim(1);
@@ -27,20 +27,19 @@ Tensor Pool2dLayer::forward(const Tensor& input, bool /*train*/) {
   const std::size_t oh = out_extent(ih);
   const std::size_t ow = out_extent(iw);
 
-  cached_input_shape_ = input.shape();
+  // An eval forward keeps no argmax or shape and drops a train forward's.
+  const bool keep_argmax = train && mode_ == PoolMode::kMax;
+  cached_input_shape_ = train ? input.shape() : Shape();
+  argmax_.assign(keep_argmax ? batch * channels * oh * ow : 0, 0);
   Tensor output(Shape{batch, channels, oh, ow});
-  if (mode_ == PoolMode::kMax) {
-    argmax_.assign(batch * channels * oh * ow, 0);
-  }
 
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t c = 0; c < channels; ++c) {
       const float* in_plane = input.data() + (b * channels + c) * ih * iw;
       float* out_plane = output.data() + (b * channels + c) * oh * ow;
       std::size_t* arg_plane =
-          mode_ == PoolMode::kMax
-              ? argmax_.data() + (b * channels + c) * oh * ow
-              : nullptr;
+          keep_argmax ? argmax_.data() + (b * channels + c) * oh * ow
+                      : nullptr;
       for (std::size_t oy = 0; oy < oh; ++oy) {
         for (std::size_t ox = 0; ox < ow; ++ox) {
           const std::size_t y0 = oy * stride_;
@@ -60,7 +59,7 @@ Tensor Pool2dLayer::forward(const Tensor& input, bool /*train*/) {
               }
             }
             out_plane[oy * ow + ox] = best;
-            arg_plane[oy * ow + ox] = best_idx;
+            if (keep_argmax) arg_plane[oy * ow + ox] = best_idx;
           } else {
             double acc = 0.0;
             for (std::size_t y = y0; y < y1; ++y) {
@@ -69,8 +68,8 @@ Tensor Pool2dLayer::forward(const Tensor& input, bool /*train*/) {
               }
             }
             // Caffe divides by the nominal window size (zero padding).
-            out_plane[oy * ow + ox] =
-                static_cast<float>(acc / static_cast<double>(kernel_ * kernel_));
+            out_plane[oy * ow + ox] = static_cast<float>(
+                acc / static_cast<double>(kernel_ * kernel_));
           }
         }
       }
@@ -107,8 +106,7 @@ Tensor Pool2dLayer::backward(const Tensor& grad_output) {
             const std::size_t x0 = ox * stride_;
             const std::size_t y1 = std::min(y0 + kernel_, ih);
             const std::size_t x1 = std::min(x0 + kernel_, iw);
-            const float share =
-                g / static_cast<float>(kernel_ * kernel_);
+            const float share = g / static_cast<float>(kernel_ * kernel_);
             for (std::size_t y = y0; y < y1; ++y) {
               for (std::size_t x = x0; x < x1; ++x) {
                 gin[y * iw + x] += share;

@@ -4,7 +4,9 @@
 // pooling and ConvNet's (cifar10_quick) 3×3/2 max+avg pooling, including the
 // Caffe convention of *ceil-mode* output sizing with implicit zero padding
 // at the bottom/right edge (average pooling divides by the full window size,
-// as Caffe does).
+// as Caffe does). A train forward caches the input shape (and, for max
+// pooling, each output's argmax) for backward(); an eval forward keeps none
+// and drops a train forward's, as nn/layer.hpp's caching rule asks.
 #pragma once
 
 #include <vector>

@@ -1,6 +1,22 @@
 #include "tensor/im2col.hpp"
 
+#include <algorithm>
+
 namespace gs {
+
+namespace {
+
+/// The output columns [lo, hi) whose tap at kernel offset `k` lands inside
+/// an input extent `in`: 0 <= o·stride + k − pad < in.
+void tap_range(std::size_t in, std::size_t out, std::size_t stride,
+               std::size_t pad, std::size_t k, std::size_t& lo,
+               std::size_t& hi) {
+  lo = k >= pad ? 0 : (pad - k + stride - 1) / stride;
+  hi = in + pad > k ? std::min(out, (in + pad - k - 1) / stride + 1) : 0;
+  lo = std::min(lo, hi);
+}
+
+}  // namespace
 
 std::size_t ConvGeometry::out_height() const {
   GS_CHECK_MSG(in_height + 2 * pad_h >= kernel_h,
@@ -65,6 +81,82 @@ Tensor im2col(const Tensor& image, const ConvGeometry& g) {
     }
   }
   return cols;
+}
+
+void im2col_transposed(const float* image, const ConvGeometry& g,
+                       float* cols) {
+  const std::size_t oh = g.out_height();
+  const std::size_t ow = g.out_width();
+  const std::size_t sx = g.stride_w;
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    const float* chan = image + c * g.in_height * g.in_width;
+    for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
+      std::size_t oy_lo = 0;
+      std::size_t oy_hi = 0;
+      tap_range(g.in_height, oh, g.stride_h, g.pad_h, ky, oy_lo, oy_hi);
+      for (std::size_t kx = 0; kx < g.kernel_w; ++kx, cols += oh * ow) {
+        std::size_t ox_lo = 0;
+        std::size_t ox_hi = 0;
+        tap_range(g.in_width, ow, sx, g.pad_w, kx, ox_lo, ox_hi);
+        std::fill(cols, cols + oy_lo * ow, 0.0f);
+        for (std::size_t oy = oy_lo; oy < oy_hi; ++oy) {
+          float* __restrict dst = cols + oy * ow;
+          const float* __restrict src =
+              chan + (oy * g.stride_h + ky - g.pad_h) * g.in_width;
+          // Output column ox reads input column ox·stride + kx − pad; at
+          // stride 1 the run is contiguous and copies as one vector loop.
+          for (std::size_t ox = 0; ox < ox_lo; ++ox) dst[ox] = 0.0f;
+          if (sx == 1 && ox_lo < ox_hi) {
+            const float* __restrict run = src + (ox_lo + kx - g.pad_w);
+            for (std::size_t i = 0; i < ox_hi - ox_lo; ++i) {
+              dst[ox_lo + i] = run[i];
+            }
+          } else {
+            for (std::size_t ox = ox_lo; ox < ox_hi; ++ox) {
+              dst[ox] = src[ox * sx + kx - g.pad_w];
+            }
+          }
+          for (std::size_t ox = ox_hi; ox < ow; ++ox) dst[ox] = 0.0f;
+        }
+        std::fill(cols + oy_hi * ow, cols + oh * ow, 0.0f);
+      }
+    }
+  }
+}
+
+void col2im_transposed(const float* cols, const ConvGeometry& g,
+                       float* image) {
+  const std::size_t oh = g.out_height();
+  const std::size_t ow = g.out_width();
+  const std::size_t sx = g.stride_w;
+  // Tap (ky, kx) adds output position (oy, ox) into pixel (oy·stride + ky −
+  // pad, ox·stride + kx − pad), one position per pixel. Taps in descending
+  // order therefore reach each pixel in ascending output position, as
+  // col2im's additions do.
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    float* chan = image + c * g.in_height * g.in_width;
+    for (std::size_t ky = g.kernel_h; ky-- > 0;) {
+      std::size_t oy_lo = 0;
+      std::size_t oy_hi = 0;
+      tap_range(g.in_height, oh, g.stride_h, g.pad_h, ky, oy_lo, oy_hi);
+      for (std::size_t kx = g.kernel_w; kx-- > 0;) {
+        std::size_t ox_lo = 0;
+        std::size_t ox_hi = 0;
+        tap_range(g.in_width, ow, sx, g.pad_w, kx, ox_lo, ox_hi);
+        const float* tap =
+            cols + ((c * g.kernel_h + ky) * g.kernel_w + kx) * oh * ow;
+        for (std::size_t oy = oy_lo; oy < oy_hi; ++oy) {
+          float* __restrict dst =
+              chan + (oy * g.stride_h + ky - g.pad_h) * g.in_width;
+          const float* __restrict src = tap + oy * ow;
+          // Output column ox adds into input column ox·stride + kx − pad.
+          for (std::size_t ox = ox_lo; ox < ox_hi; ++ox) {
+            dst[ox * sx + kx - g.pad_w] += src[ox];
+          }
+        }
+      }
+    }
+  }
 }
 
 Tensor col2im(const Tensor& columns, const ConvGeometry& g) {

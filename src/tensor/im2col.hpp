@@ -43,6 +43,21 @@ Tensor im2col(const Tensor& image, const ConvGeometry& g);
 void im2col_patch(const float* image, const ConvGeometry& g, std::size_t oy,
                   std::size_t ox, float* row);
 
+/// im2col's patch matrix transposed, on raw buffers: writes the
+/// (patch_size, out_h*out_w) matrix of the C×H×W image at `image` into
+/// `cols`. Row (c, ky, kx) holds that kernel tap's input value at every
+/// output position, so at stride 1 each output row's stretch is one
+/// contiguous copy of an image row.
+void im2col_transposed(const float* image, const ConvGeometry& g,
+                       float* cols);
+
+/// Adjoint of im2col_transposed: adds the (patch_size, out_h*out_w) matrix
+/// at `cols` into the C×H×W image at `image`. Every pixel receives its
+/// terms in ascending output position, the order col2im adds them in, so
+/// on a zeroed image the two agree bit for bit.
+void col2im_transposed(const float* cols, const ConvGeometry& g,
+                       float* image);
+
 /// Adjoint of im2col: accumulates a patch-matrix gradient back into an
 /// image-shaped gradient (C×H×W). Exactly the transpose of the linear
 /// im2col map, which property tests verify via <im2col(x), y> = <x, col2im(y)>.

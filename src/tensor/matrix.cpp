@@ -8,10 +8,6 @@ namespace gs {
 
 namespace {
 
-// Below this flop count the packed kernel's tile set-up costs more than it
-// saves; a straight register-blocked triple loop wins.
-constexpr std::size_t kTinyGemmFlops = 32 * 32 * 32;
-
 // Direct triple-loop GEMM for tiny operands. Transposes are absorbed by
 // index arithmetic (loop order chosen per combination so the innermost
 // stream is contiguous where possible) — no operand is ever copied.

@@ -11,6 +11,14 @@
 
 namespace gs {
 
+/// gemm() runs a product of at most this many multiply-adds (m·n·k) as a
+/// direct triple loop: below it the packed kernel's tile set-up costs more
+/// than it saves. The two paths round differently — the triple loop's
+/// arithmetic depends on beta and on the transpose of B, the packed
+/// kernel's on neither — so callers that must reproduce a gemm() bit for
+/// bit on raw buffers (nn/weight_path.hpp) test this threshold too.
+inline constexpr std::size_t kTinyGemmFlops = 32 * 32 * 32;
+
 /// C = alpha * op(A) * op(B) + beta * C, row-major.
 /// op(X) = X or Xᵀ per the transpose flags. C must be preallocated with the
 /// result shape; aliasing C with A or B is not allowed.

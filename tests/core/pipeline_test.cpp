@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "data/synthetic_mnist.hpp"
 #include "hw/tiling.hpp"
@@ -215,6 +218,61 @@ TEST(Pipeline, ShortLeNetRunWeightsChecksum) {
   std::snprintf(hex, sizeof hex, "%016llx",
                 static_cast<unsigned long long>(hash));
   RecordProperty("weights_checksum", hex);
+}
+
+// PipelineResult::times: every stage's clocks are non-negative, the
+// disabled nonideal fine-tune reads zero, the stages that ran took time, and
+// the back-to-back stages sum to no more than the whole run's wall time.
+TEST(Pipeline, StageTimesCoverTheRun) {
+  data::SyntheticMnist train_set(120, 200);
+  data::SyntheticMnist test_set(121, 50);
+  PipelineConfig config;
+  config.seed = 9;
+  config.pretrain.iterations = 20;
+  config.pretrain.batch_size = 25;
+  config.clipping.clip_interval = 10;
+  config.clipping.max_iterations = 20;
+  config.clipping_phase.batch_size = 25;
+  config.deletion.train_iterations = 10;
+  config.deletion.finetune_iterations = 10;
+  config.deletion.record_interval = 10;
+  config.deletion_phase.batch_size = 25;
+  config.deletion_phase.sgd = {0.02f, 0.9f, 0.0f};
+  config.keep_dense = {lenet_classifier()};
+  config.eval_samples = 50;
+  config.repack_eval = false;
+  config.fault_eval_rate = 0.0;
+  ASSERT_FALSE(config.nonideal_finetune.enabled);
+
+  const auto start = std::chrono::steady_clock::now();
+  const PipelineResult result = run_group_scissor(
+      [](Rng& rng) { return build_lenet(rng); }, train_set, test_set, config);
+  const double run_s = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+
+  const PipelineTimes& t = result.times;
+  const std::vector<std::pair<const char*, StageTime>> stages = {
+      {"pretrain", t.pretrain},
+      {"factorize", t.factorize},
+      {"clip", t.clip},
+      {"deletion", t.deletion},
+      {"nonideal_finetune", t.nonideal_finetune},
+      {"compile_evaluate", t.compile_evaluate}};
+  double sum_s = 0.0;
+  for (const auto& [name, stage] : stages) {
+    SCOPED_TRACE(name);
+    EXPECT_GE(stage.wall_s, 0.0);
+    EXPECT_GE(stage.cpu_s, 0.0);
+    sum_s += stage.wall_s;
+  }
+  EXPECT_EQ(t.nonideal_finetune.wall_s, 0.0);
+  EXPECT_EQ(t.nonideal_finetune.cpu_s, 0.0);
+  EXPECT_GT(t.pretrain.wall_s, 0.0);
+  EXPECT_GT(t.clip.wall_s, 0.0);
+  EXPECT_GT(t.deletion.wall_s, 0.0);
+  EXPECT_GT(t.compile_evaluate.wall_s, 0.0);
+  EXPECT_LE(sum_s, run_s);
 }
 
 TEST(Pipeline, TrainPhaseHelperImprovesAccuracy) {

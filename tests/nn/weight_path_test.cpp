@@ -1,5 +1,6 @@
 // The shared weight path of the four crossbar layers (nn/weight_path.hpp):
-// its caching rule and its weight-matrix views.
+// its caching rule, which the stateless layers follow too, and its
+// weight-matrix views.
 #include "nn/weight_path.hpp"
 
 #include <gtest/gtest.h>
@@ -9,10 +10,12 @@
 #include <string>
 #include <vector>
 
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/lowrank.hpp"
 #include "nn/network.hpp"
+#include "nn/pool2d.hpp"
 
 namespace gs::nn {
 namespace {
@@ -90,6 +93,52 @@ TEST(WeightPath, BackwardAfterEvalForwardThrows) {
       net.forward(x1, /*train=*/true);
       EXPECT_EQ(net.backward(dy).shape(), c.input);
     }
+  }
+}
+
+// The same caching rule for the stateless layers that cache for backward:
+// ReLU's mask, pooling's argmax and input shape, Flatten's shape. After an
+// eval forward of x2, a backward must throw rather than silently route dY
+// through x2's mask, argmax or shape.
+TEST(WeightPath, StatelessBackwardAfterEvalForwardThrows) {
+  struct Case {
+    std::string label;
+    std::function<std::unique_ptr<Layer>()> make;
+  };
+  const std::vector<Case> cases = {
+      {"ReluLayer", [] { return std::make_unique<ReluLayer>("relu"); }},
+      {"Pool2dLayer max",
+       [] {
+         return std::make_unique<Pool2dLayer>("pool", PoolMode::kMax, 2, 2);
+       }},
+      {"Pool2dLayer avg",
+       [] {
+         return std::make_unique<Pool2dLayer>("pool", PoolMode::kAvg, 2, 2);
+       }},
+      {"FlattenLayer", [] { return std::make_unique<FlattenLayer>("flat"); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    Rng rng(11);
+    std::unique_ptr<Layer> layer = c.make();
+    const Tensor x1 = random_tensor({2, 3, 4, 4}, rng);
+    const Tensor x2 = random_tensor({2, 3, 4, 4}, rng);
+    const Tensor dy =
+        random_tensor(layer->forward(x1, /*train=*/true).shape(), rng);
+
+    layer->forward(x2, /*train=*/false);
+    try {
+      layer->backward(dy);
+      ADD_FAILURE() << "backward after an eval forward did not throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("backward before forward"),
+                std::string::npos)
+          << e.what();
+    }
+
+    // A new train forward re-arms backward.
+    layer->forward(x1, /*train=*/true);
+    EXPECT_EQ(layer->backward(dy).shape(), x1.shape());
   }
 }
 

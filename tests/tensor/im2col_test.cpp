@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -139,6 +140,33 @@ TEST_P(Im2colAdjointSweep, AdjointIdentity) {
   EXPECT_NEAR(lhs, rhs, 1e-2 * std::max(1.0, std::fabs(lhs)));
 }
 
+/// The channel-major pair against the row-major one, bit for bit:
+/// im2col_transposed is im2col transposed, and col2im_transposed adds each
+/// pixel's terms in col2im's order (ascending output position).
+TEST_P(Im2colAdjointSweep, TransposedPairMatchesRowMajorBitwise) {
+  const auto [c, hw, k, stride, pad] = GetParam();
+  const ConvGeometry g = simple_geometry(c, hw, hw, k, stride, pad);
+  Rng rng(c * 100 + hw * 10 + k + stride + pad + 1);
+
+  Tensor x(Shape{c, hw, hw});
+  x.fill_gaussian(rng, 0.0f, 1.0f);
+  const Tensor want_cols = transposed(im2col(x, g));
+  Tensor cols(want_cols.shape(), 7.0f);  // every element must be written
+  im2col_transposed(x.data(), g, cols.data());
+  EXPECT_EQ(std::memcmp(cols.data(), want_cols.data(),
+                        cols.numel() * sizeof(float)),
+            0);
+
+  Tensor y(Shape{g.patch_size(), g.out_height() * g.out_width()});
+  y.fill_gaussian(rng, 0.0f, 1.0f);
+  const Tensor want_image = col2im(transposed(y), g);
+  Tensor image(x.shape());
+  col2im_transposed(y.data(), g, image.data());
+  EXPECT_EQ(std::memcmp(image.data(), want_image.data(),
+                        image.numel() * sizeof(float)),
+            0);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, Im2colAdjointSweep,
     ::testing::Values(
@@ -151,7 +179,11 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple<std::size_t, std::size_t, std::size_t, std::size_t,
                         std::size_t>(2, 9, 3, 2, 1),
         std::make_tuple<std::size_t, std::size_t, std::size_t, std::size_t,
-                        std::size_t>(4, 6, 2, 2, 0)));
+                        std::size_t>(4, 6, 2, 2, 0),
+        std::make_tuple<std::size_t, std::size_t, std::size_t, std::size_t,
+                        std::size_t>(20, 12, 5, 1, 0),  // LeNet conv2
+        std::make_tuple<std::size_t, std::size_t, std::size_t, std::size_t,
+                        std::size_t>(2, 7, 3, 3, 2)));
 
 TEST(Im2col, ConvViaGemmMatchesDirectConvolution) {
   // Full pipeline check: im2col + GEMM equals the textbook convolution sum.
