@@ -5,40 +5,30 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <thread>
 
-#include "common/string_util.hpp"
 #include "common/thread_pool.hpp"
 #include "data/batcher.hpp"
 #include "nn/trainer.hpp"
 
 namespace gs::bench {
 
-std::size_t scale() {
-  static const std::size_t value = [] {
-    if (const char* env = std::getenv("GS_BENCH_SCALE")) {
-      const long parsed = std::atol(env);
-      if (parsed >= 1) return static_cast<std::size_t>(parsed);
-    }
-    return std::size_t{1};
-  }();
-  return value;
+bool smoke_flag(int argc, char** argv) {
+  if (argc == 1) return false;
+  if (argc == 2 && std::strcmp(argv[1], "--smoke") == 0) return true;
+  std::cerr << "usage: " << argv[0] << " [--smoke]\n";
+  std::exit(2);
 }
-
-std::size_t iters(std::size_t base) { return base * scale(); }
 
 data::SyntheticMnist mnist_train() { return data::SyntheticMnist(1001, 500); }
 data::SyntheticMnist mnist_test() { return data::SyntheticMnist(2002, 200); }
-data::SyntheticCifar cifar_train() { return data::SyntheticCifar(3003, 500); }
-data::SyntheticCifar cifar_test() { return data::SyntheticCifar(4004, 200); }
 
 nn::SgdConfig lenet_sgd() { return {0.02f, 0.9f, 1e-4f}; }
-// 0.015 trains slightly faster but occasionally diverges mid-clip on the
-// synthetic task; 0.01 is stable across every sweep.
-nn::SgdConfig convnet_sgd() { return {0.01f, 0.9f, 1e-4f}; }
 
 TrainedModel trained_lenet(std::size_t iterations, std::uint64_t seed) {
   Rng rng(seed);
@@ -52,28 +42,11 @@ TrainedModel trained_lenet(std::size_t iterations, std::uint64_t seed) {
   return model;
 }
 
-TrainedModel trained_convnet(std::size_t iterations, std::uint64_t seed) {
-  Rng rng(seed);
-  TrainedModel model{core::build_convnet(rng), 0.0};
-  const auto train_set = cifar_train();
-  const auto test_set = cifar_test();
-  data::Batcher batcher(train_set, 16, Rng(seed + 7));
-  nn::SgdOptimizer opt(convnet_sgd());
-  nn::train(model.net, opt, batcher, iterations);
-  model.accuracy = nn::evaluate(model.net, test_set);
-  return model;
-}
-
 void section(const std::string& title) {
   std::cout << "\n=== " << title << " ===\n";
 }
 
 void note(const std::string& text) { std::cout << text << '\n'; }
-
-void paper_vs(const std::string& label, double measured, double paper_value) {
-  std::cout << pad(label, 24) << " measured=" << percent(measured)
-            << "  paper=" << percent(paper_value) << '\n';
-}
 
 BenchRecord& BenchRecord::label(std::string key, std::string value) {
   labels.emplace_back(std::move(key), std::move(value));
@@ -125,6 +98,25 @@ std::string json_escape(const std::string& s) {
 
 }  // namespace
 
+std::string to_json(const BenchRecord& record) {
+  std::ostringstream out;
+  out << "{\"name\": \"" << json_escape(record.name) << '"';
+  for (const auto& [key, value] : record.labels) {
+    out << ", \"" << json_escape(key) << "\": \"" << json_escape(value) << '"';
+  }
+  out << std::setprecision(6);
+  for (const auto& [key, value] : record.metrics) {
+    out << ", \"" << json_escape(key) << "\": ";
+    if (std::isfinite(value)) {
+      out << value;
+    } else {
+      out << "null";
+    }
+  }
+  out << '}';
+  return out.str();
+}
+
 void write_bench_json(const std::string& path, const std::string& bench_name,
                       const std::vector<BenchRecord>& records) {
   std::ofstream out(path);
@@ -135,22 +127,8 @@ void write_bench_json(const std::string& path, const std::string& bench_name,
       << ", \"gs_num_threads\": " << ThreadPool::global().size() << "},\n"
       << "  \"records\": [\n";
   for (std::size_t r = 0; r < records.size(); ++r) {
-    const BenchRecord& rec = records[r];
-    out << "    {\"name\": \"" << json_escape(rec.name) << '"';
-    for (const auto& [key, value] : rec.labels) {
-      out << ", \"" << json_escape(key) << "\": \"" << json_escape(value)
-          << '"';
-    }
-    out << std::setprecision(6);
-    for (const auto& [key, value] : rec.metrics) {
-      out << ", \"" << json_escape(key) << "\": ";
-      if (std::isfinite(value)) {
-        out << value;
-      } else {
-        out << "null";
-      }
-    }
-    out << '}' << (r + 1 < records.size() ? "," : "") << '\n';
+    out << "    " << to_json(records[r]) << (r + 1 < records.size() ? "," : "")
+        << '\n';
   }
   out << "  ]\n}\n";
   GS_CHECK_MSG(out.good(), "failed writing " << path);

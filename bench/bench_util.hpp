@@ -1,19 +1,13 @@
-// Shared scaffolding for the experiment-reproduction benches.
-//
-// Every bench binary regenerates one table or figure of the paper on the
-// synthetic datasets (DESIGN.md §2) at a laptop-scale training budget, prints
-// the paper's row/series layout with a `paper=` reference column, and writes
-// a CSV (<bench-name>.csv, next to the working directory) for replotting.
-//
-// Scale note: budgets are sized so each binary completes in roughly a minute
-// or two on CPU. Set GS_BENCH_SCALE=N (integer ≥ 1) to multiply every
-// training budget for higher-fidelity runs.
+// Shared scaffolding for the bench binaries: the synthetic MNIST set and
+// LeNet baseline that bench_runtime_serving and bench_paper train on, the
+// `--smoke` flag, console helpers, the BENCH_*.json writer and the one
+// interleaved timing helper.
 //
 // Thread-safety: free functions here are called from the bench mains' single
 // driver thread; nothing in this header owns shared mutable state.
 // Determinism: datasets and baselines are seeded (fixed seeds inside the
-// factories); scale() reads GS_BENCH_SCALE once — results depend only on the
-// environment knobs, never on wall-clock or scheduling.
+// factories), so results never depend on wall-clock or scheduling; only the
+// timings do.
 #pragma once
 
 #include <functional>
@@ -21,27 +15,23 @@
 #include <utility>
 #include <vector>
 
-#include "common/csv.hpp"
 #include "common/rng.hpp"
 #include "core/models.hpp"
 #include "core/pipeline.hpp"
-#include "data/synthetic_cifar.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "nn/network.hpp"
 
 namespace gs::bench {
 
-/// Training-budget multiplier from GS_BENCH_SCALE (default 1).
-std::size_t scale();
+/// The benches' one command-line flag: true for `--smoke`, false for no
+/// argument. Anything else prints a usage line to stderr and exits with
+/// code 2, so a mistyped flag never runs the full budget, which would
+/// overwrite the committed record.
+bool smoke_flag(int argc, char** argv);
 
-/// Scaled iteration count.
-std::size_t iters(std::size_t base);
-
-/// Canonical synthetic datasets (sizes chosen for bench budgets).
+/// Canonical synthetic MNIST sets (sizes chosen for bench budgets).
 data::SyntheticMnist mnist_train();
 data::SyntheticMnist mnist_test();
-data::SyntheticCifar cifar_train();
-data::SyntheticCifar cifar_test();
 
 /// A trained dense baseline plus its test accuracy.
 struct TrainedModel {
@@ -49,19 +39,15 @@ struct TrainedModel {
   double accuracy = 0.0;
 };
 
-/// Trains the paper's LeNet / ConvNet baselines on the synthetic tasks.
+/// Trains the paper's LeNet baseline on synthetic MNIST.
 TrainedModel trained_lenet(std::size_t iterations, std::uint64_t seed = 1);
-TrainedModel trained_convnet(std::size_t iterations, std::uint64_t seed = 1);
 
 /// Console formatting helpers.
 void section(const std::string& title);
 void note(const std::string& text);
-/// "label: measured=X paper=Y" line.
-void paper_vs(const std::string& label, double measured, double paper_value);
 
-/// Standard SGD settings for each network on the synthetic tasks.
+/// Standard SGD settings for LeNet on synthetic MNIST.
 nn::SgdConfig lenet_sgd();
-nn::SgdConfig convnet_sgd();
 
 // --- Machine-readable benchmark trajectories (BENCH_*.json) ----------------
 
@@ -88,6 +74,9 @@ struct BenchRecord {
   /// Emits `key` (the median) plus `key_min` and `key_max`.
   BenchRecord& spread(const std::string& key, const Spread& s);
 };
+
+/// One record as a single-line JSON object, as write_bench_json emits it.
+std::string to_json(const BenchRecord& record);
 
 /// Writes `{"bench": <bench_name>, "env": {...}, "records": [...]}` to
 /// `path`, e.g. BENCH_gemm.json in the working directory. Strings are

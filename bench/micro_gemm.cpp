@@ -12,7 +12,6 @@
 // README. Pass --smoke for a small-size, few-rep CI run that prints but
 // writes no JSON.
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -193,10 +192,7 @@ int main(int argc, char** argv) {
   using namespace gs;
   using namespace gs::bench;
 
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = smoke_flag(argc, argv);
   // A smoke run divides every dimension by 8.
   const std::size_t scale = smoke ? 8 : 1;
   const int reps = smoke ? 3 : 11;

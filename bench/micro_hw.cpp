@@ -9,7 +9,6 @@
 // GS_NUM_THREADS (the census/occupancy sweeps run on gs::ThreadPool). Pass
 // --smoke for a tiny-size, few-rep CI run that prints but writes no JSON.
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -50,10 +49,7 @@ int main(int argc, char** argv) {
   using namespace gs::bench;
   using namespace gs::hw;
 
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = smoke_flag(argc, argv);
   const std::size_t rows = smoke ? 128 : 800;
   const std::size_t cols = smoke ? 32 : 64;
   const int reps = smoke ? 3 : 9;

@@ -280,10 +280,7 @@ int main(int argc, char** argv) {
   using namespace gs;
   using namespace gs::bench;
 
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = smoke_flag(argc, argv);
   const Sizes sz = smoke ? Sizes{96, 80, 8, 10, 5, 2}
                          : Sizes{800, 500, 36, 60, 10, 5};
 

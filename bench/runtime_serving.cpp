@@ -38,7 +38,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <thread>
 #include <vector>
@@ -130,12 +129,9 @@ int main(int argc, char** argv) {
   using namespace gs;
   using namespace gs::bench;
 
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = smoke_flag(argc, argv);
   const Budget budget = smoke ? Budget{30, 8, 4, 16, 20, 3}
-                              : Budget{iters(400), 32, 16, 64, iters(300), 11};
+                              : Budget{400, 32, 16, 64, 300, 11};
 
   section(smoke ? "runtime_serving (smoke): crossbar inference runtime"
                 : "runtime_serving: crossbar inference runtime");

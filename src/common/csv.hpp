@@ -1,5 +1,5 @@
-// Tiny CSV writer used by the benchmark harnesses to dump the series behind
-// every reproduced table/figure, so results can be re-plotted externally.
+// Tiny CSV writer for series meant to be re-plotted externally. No bench
+// uses it: the benches write BENCH_*.json records (bench/bench_util.hpp).
 #pragma once
 
 #include <fstream>

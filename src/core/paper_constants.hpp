@@ -1,6 +1,7 @@
-// Published numbers from the paper, used by replay benches and as exact-match
-// oracles in tests of the hardware model (DESIGN.md §1 "Analytically
-// validated hardware model").
+// Published numbers from the paper: the `paper_*` values beside the measured
+// ones in bench_paper's records, and exact-match oracles in the tests of the
+// hardware model, which must reproduce the published area ratios and MBC
+// sizes from the published ranks (tests/hw/paper_replay_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -55,6 +56,10 @@ struct PaperSvdAblation {
   double lenet_area_ratio = 0.3297;
   double convnet_area_ratio = 0.5564;
 };
+
+/// Figure 5 (text): group connection deletion removes 93.9% of LeNet's fc1_v
+/// routing wires on MNIST.
+inline constexpr double kPaperLenetFc1vDeletedRatio = 0.939;
 
 /// Figure 8 (text): ConvNet per-layer routing-area ratios at ~1.5% loss.
 std::vector<double> paper_convnet_fig8_routing_area();

@@ -1,6 +1,7 @@
 // SyntheticCifar — procedurally textured colour-image lookalike.
 //
-// Substitution note (see DESIGN.md §2): CIFAR-10 is unavailable offline.
+// Substitution note: the library builds and runs offline with no data
+// download, so CIFAR-10 itself is unavailable.
 // Each class pairs a characteristic texture (stripes, checker, disk, ring,
 // blobs, gradient, cross, triangles, waves, noise patches) with a base
 // colour; samples draw the texture with randomised phase/frequency/colour

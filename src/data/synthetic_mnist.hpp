@@ -1,6 +1,7 @@
 // SyntheticMnist — procedurally rendered handwritten-digit lookalike.
 //
-// Substitution note (see DESIGN.md §2): MNIST itself is unavailable offline.
+// Substitution note: the library builds and runs offline with no data
+// download, so MNIST itself is unavailable.
 // Each of the 10 classes is a digit glyph defined as a polyline skeleton in
 // the unit square; a sample renders the skeleton with a signed-distance
 // brush after a random affine perturbation (shift, anisotropic scale,

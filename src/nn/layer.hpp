@@ -4,7 +4,8 @@
 //  * convolutional activations: rank-4, B×C×H×W;
 //  * fully-connected activations: rank-2, B×features;
 //  * FC weights: (in, out) — *inputs × outputs*, the orientation in which
-//    the paper's crossbar mapper consumes matrices (DESIGN.md §1);
+//    the paper's crossbar mapper consumes matrices (its Eq. (1) writes W as
+//    N×M, fan-in × fan-out);
 //  * conv weights: unrolled (C·kh·kw, F), same orientation.
 //
 // A train-mode forward() caches whatever backward() needs; backward() must

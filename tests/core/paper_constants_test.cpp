@@ -8,7 +8,7 @@ namespace {
 TEST(PaperConstants, LeNetLayerGeometry) {
   const PaperNetwork net = paper_lenet();
   ASSERT_EQ(net.layers.size(), 4u);
-  // Unrolled fan-in × fan-out per DESIGN.md orientation.
+  // Unrolled fan-in × fan-out: W is N×M, as in the paper's Eq. (1).
   EXPECT_EQ(net.layers[0].n, 25u);    // conv1: 1·5·5
   EXPECT_EQ(net.layers[0].m, 20u);
   EXPECT_EQ(net.layers[1].n, 500u);   // conv2: 20·5·5

@@ -1,7 +1,8 @@
 // Exact-match oracles: feeding the paper's published ranks / wire counts
 // through our hardware model must reproduce the paper's published ratios and
-// MBC sizes (DESIGN.md §1). These tests pin the area/routing model to the
-// paper to the last digit.
+// MBC sizes (the area model and MBC selection rows of docs/ARCHITECTURE.md,
+// "Paper technique → source directory"). These tests pin the area/routing
+// model to the paper to the last digit.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -119,7 +119,8 @@ INSTANTIATE_TEST_SUITE_P(Methods, LraMethodSweep,
 
 TEST(Lra, PcaAndSvdAgreeUncentered) {
   // Uncentered PCA factors the same Gram spectrum as SVD: reconstructions at
-  // equal rank must coincide (DESIGN.md ablation rationale).
+  // equal rank must coincide (why bench_paper's SVD-vs-PCA ablation clips
+  // both to the same ranks).
   Tensor w = decaying_matrix(18, 9, 8);
   const LraResult p = low_rank_approximate(w, LraMethod::kPca, 4);
   const LraResult s = low_rank_approximate(w, LraMethod::kSvd, 4);
